@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use botscope_core::Experiment;
-use botscope_simnet::scenario::{full_study, phase_study};
+use botscope_simnet::scenario::{full_study, phase_study_table};
 use botscope_simnet::SimConfig;
 
 fn bench_generator(c: &mut Criterion) {
@@ -25,7 +25,9 @@ fn bench_end_to_end(c: &mut Criterion) {
     let mut g = c.benchmark_group("end_to_end");
     g.sample_size(10);
     let cfg = SimConfig { scale: 0.05, sites: 8, ..SimConfig::default() };
-    g.bench_function("phase_study_generate", |b| b.iter(|| phase_study(&cfg)));
+    // Same generator as `Experiment::run`, so the two rows differ only
+    // by the table analysis.
+    g.bench_function("phase_study_generate", |b| b.iter(|| phase_study_table(&cfg)));
     g.bench_function("phase_study_generate_and_analyze", |b| b.iter(|| Experiment::run(&cfg)));
     g.finish();
 }

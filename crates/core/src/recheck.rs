@@ -9,13 +9,15 @@
 //!   at all while a given experimental file was live? (Table 7's
 //!   "Checked robots.txt" columns).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use botscope_simnet::PolicyVersion;
 use botscope_stats::window::{window_coverage, PAPER_WINDOWS_HOURS};
 use botscope_useragent::BotCategory;
+use botscope_weblog::intern::{StringInterner, Sym};
 use botscope_weblog::record::AccessRecord;
-use botscope_weblog::table::LogTable;
+use botscope_weblog::sink::RowSink;
+use botscope_weblog::table::{LogTable, RecordRow};
 
 use crate::metrics::PathClasses;
 use crate::pipeline::{standardize_table, StandardizedLogs, StandardizedTable};
@@ -350,8 +352,8 @@ struct BotAccum {
 
 /// Bounded-memory accumulator for the §5.1 monitor reports.
 ///
-/// Feed it the daemon's streamed fetch rows — in the k-way shard
-/// merge's canonical, time-ascending order — and it reproduces exactly
+/// Feed it, as a [`RowSink`], the daemon's streamed fetch rows — in the
+/// k-way merge's canonical, time-ascending order — and it reproduces exactly
 /// what the materialized pipeline computes as
 /// [`by_category`]`(&`[`profiles_from_table`]`(..))` and
 /// [`phase_check_matrix`]: the per-category re-check coverage table and
@@ -363,8 +365,10 @@ pub struct RecheckAccumulator {
     windows: SiteVersionWindows,
     deployed: [bool; 4],
     standardizer: botscope_useragent::Standardizer,
-    ua_cache: BTreeMap<String, Option<&'static botscope_useragent::BotSpec>>,
-    bots: BTreeMap<String, BotAccum>,
+    /// Stream user-agent symbol → standardized bot (one stream, one
+    /// dictionary: see [`RowSink`]).
+    ua_cache: HashMap<Sym, Option<&'static botscope_useragent::BotSpec>>,
+    bots: BTreeMap<&'static str, BotAccum>,
 }
 
 impl RecheckAccumulator {
@@ -382,41 +386,8 @@ impl RecheckAccumulator {
             windows,
             deployed,
             standardizer: botscope_useragent::Standardizer::new(),
-            ua_cache: BTreeMap::new(),
+            ua_cache: HashMap::new(),
             bots: BTreeMap::new(),
-        }
-    }
-
-    /// Absorb one streamed record. Known bots register a row view even
-    /// when the row is not a robots.txt fetch (Table 7's never-checker
-    /// rows); anonymous agents are ignored, as in standardization.
-    pub fn push(&mut self, record: &AccessRecord) {
-        let Self { ua_cache, standardizer, .. } = self;
-        let spec = *ua_cache
-            .entry(record.useragent.clone())
-            .or_insert_with(|| standardizer.standardize(&record.useragent).map(|s| s.bot));
-        let Some(bot) = spec else {
-            return;
-        };
-        let accum = self.bots.entry(bot.canonical.to_string()).or_insert_with(|| BotAccum {
-            category: bot.category,
-            checks: 0,
-            hit: [false; 4],
-            windows: PAPER_WINDOWS_HOURS.map(|h| WindowAccum::new(h * 3600)),
-        });
-        if !record.is_robots_fetch() {
-            return;
-        }
-        accum.checks += 1;
-        let t = record.timestamp.unix();
-        for w in &mut accum.windows {
-            w.push(t, self.horizon_end);
-        }
-        if let Some(spans) = self.windows.get(&record.sitename) {
-            if let Some(&(version, _, _)) = spans.iter().find(|&&(_, from, to)| t >= from && t < to)
-            {
-                accum.hit[version.index()] = true;
-            }
         }
     }
 
@@ -458,7 +429,12 @@ impl RecheckAccumulator {
                         *slot = Some(b.hit[i]);
                     }
                 }
-                PhaseCheckRow { bot: name.clone(), category: b.category, checked, checks: b.checks }
+                PhaseCheckRow {
+                    bot: (*name).to_string(),
+                    category: b.category,
+                    checked,
+                    checks: b.checks,
+                }
             })
             .collect()
     }
@@ -469,9 +445,38 @@ impl RecheckAccumulator {
     }
 }
 
-impl botscope_weblog::sink::RowSink for RecheckAccumulator {
-    fn write_row(&mut self, record: &AccessRecord) -> std::io::Result<()> {
-        self.push(record);
+impl RowSink for RecheckAccumulator {
+    /// Absorb one streamed row. Known bots register a row view even
+    /// when the row is not a robots.txt fetch (Table 7's never-checker
+    /// rows); anonymous agents are ignored, as in standardization.
+    fn write_row(&mut self, interner: &StringInterner, row: &RecordRow) -> std::io::Result<()> {
+        let Self { ua_cache, standardizer, .. } = self;
+        let spec = *ua_cache.entry(row.useragent).or_insert_with(|| {
+            standardizer.standardize(interner.resolve(row.useragent)).map(|s| s.bot)
+        });
+        let Some(bot) = spec else {
+            return Ok(());
+        };
+        let accum = self.bots.entry(bot.canonical).or_insert_with(|| BotAccum {
+            category: bot.category,
+            checks: 0,
+            hit: [false; 4],
+            windows: PAPER_WINDOWS_HOURS.map(|h| WindowAccum::new(h * 3600)),
+        });
+        if interner.resolve(row.uri_path) != "/robots.txt" {
+            return Ok(());
+        }
+        accum.checks += 1;
+        let t = row.timestamp.unix();
+        for w in &mut accum.windows {
+            w.push(t, self.horizon_end);
+        }
+        if let Some(spans) = self.windows.get(interner.resolve(row.sitename)) {
+            if let Some(&(version, _, _)) = spans.iter().find(|&&(_, from, to)| t >= from && t < to)
+            {
+                accum.hit[version.index()] = true;
+            }
+        }
         Ok(())
     }
 }

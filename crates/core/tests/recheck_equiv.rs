@@ -8,6 +8,7 @@ use botscope_core::recheck::{
 };
 use botscope_simnet::PolicyVersion;
 use botscope_weblog::record::AccessRecord;
+use botscope_weblog::sink::RowSink;
 use botscope_weblog::table::LogTable;
 use botscope_weblog::time::Timestamp;
 use proptest::prelude::*;
@@ -52,19 +53,20 @@ fn sample_windows() -> SiteVersionWindows {
     windows
 }
 
-/// Push `records` (already time-sorted) through the accumulator and
-/// assert both reports equal the batch computation over the same rows.
+/// Stream `records` (already time-sorted) through the accumulator as
+/// interned rows and assert both reports equal the batch computation
+/// over the same rows.
 fn assert_stream_matches_batch(
     records: &[AccessRecord],
     windows: &SiteVersionWindows,
     horizon_end: u64,
 ) {
+    let table = LogTable::from_records(records);
     let mut acc = RecheckAccumulator::new(windows.clone(), horizon_end);
-    for r in records {
-        acc.push(r);
+    for row in table.rows() {
+        acc.write_row(table.interner(), row).expect("accumulating cannot fail");
     }
 
-    let table = LogTable::from_records(records);
     let batch_agg = by_category(&profiles_from_table(&table, horizon_end));
     let batch_matrix = phase_check_matrix(&table, windows);
 

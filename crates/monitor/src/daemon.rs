@@ -53,8 +53,9 @@ const AGENT_STREAM: u64 = 0xA6E7_0000_0000_0000;
 /// Agents per scheduler chunk: a pure function of the agent count (it
 /// must NOT depend on the worker count) so shard boundaries — and
 /// therefore the merged output — are identical at any
-/// `BOTSCOPE_THREADS`. Small estates still split into several chunks so
-/// the parallel merge path is always exercised.
+/// `BOTSCOPE_THREADS`. Small estates still split into several chunks,
+/// so the parallel shard scheduler and the k-way merge over shard runs
+/// are always exercised.
 fn chunk_agents(n_agents: usize) -> usize {
     (n_agents / 64).clamp(16, 4096)
 }

@@ -34,7 +34,7 @@ use botscope_weblog::record::AccessRecord;
 use botscope_weblog::sink::RowSink;
 use botscope_weblog::table::{LogTable, RecordRow};
 use botscope_weblog::time::Timestamp;
-use botscope_weblog::{merge_runs_parallel, MergeRun};
+use botscope_weblog::{merge_runs, MergeRun};
 
 use crate::behavior::{BotBehavior, RobotsCheckPolicy};
 use crate::belief::{LensTable, PolicyOracle, ScheduleOracle};
@@ -496,9 +496,9 @@ pub struct SimStreamOutput {
 }
 
 /// Run the generator straight into row sinks with bounded memory:
-/// workers spill canonically sorted binary runs to disk, and a k-way
-/// merge streams the global canonical order into `sinks` without ever
-/// materializing the table. Output bytes are identical to writing
+/// workers spill canonically sorted binary runs to disk, and one serial
+/// k-way merge streams the global canonical order of interned rows into
+/// `sinks` without ever materializing the table. Output bytes are identical to writing
 /// [`simulate_table`]'s result, at any worker count.
 pub fn simulate_stream(
     cfg: &SimConfig,
@@ -635,10 +635,7 @@ pub fn simulate_stream_oracle<O: PolicyOracle>(
                 runs.push(MergeRun::from_sorted_stream(unit_runs.interner.clone(), Box::new(bin)));
             }
         }
-        // Tournament merge over the spilled runs, fanned across the same
-        // worker budget generation used; byte-identical to the serial
-        // merge at any worker count.
-        merge_runs_parallel(runs, sinks, threads)
+        merge_runs(runs, sinks)
     })();
     drop(merge_span);
     obs.counter("simnet_spill_runs_total").add(spilled.len() as u64);

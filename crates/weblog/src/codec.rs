@@ -8,8 +8,9 @@
 use std::fmt::Write as _;
 use std::io::{self, BufRead, Write};
 
+use crate::intern::StringInterner;
 use crate::record::AccessRecord;
-use crate::table::LogTable;
+use crate::table::{LogTable, RecordRow};
 use crate::time::Timestamp;
 
 /// The header row.
@@ -55,33 +56,26 @@ fn quote(field: &str, out: &mut String) {
     }
 }
 
-/// Encode one record as a CSV line (no trailing newline).
-pub fn encode_record(r: &AccessRecord) -> String {
-    let mut out = String::with_capacity(128);
-    quote(&r.useragent, &mut out);
+/// Append one interned row to `out` as a CSV line (no trailing
+/// newline). The one row encoder behind [`write_table`] and
+/// [`crate::sink::CsvSink`].
+pub fn encode_row(interner: &StringInterner, row: &RecordRow, out: &mut String) {
+    quote(interner.resolve(row.useragent), out);
     out.push(',');
-    out.push_str(&r.timestamp.to_iso8601());
-    let _ = write!(out, ",{:016x},", r.ip_hash);
-    quote(&r.asn, &mut out);
+    out.push_str(&row.timestamp.to_iso8601());
+    let _ = write!(out, ",{:016x},", row.ip_hash);
+    quote(interner.resolve(row.asn), out);
     out.push(',');
-    quote(&r.sitename, &mut out);
+    quote(interner.resolve(row.sitename), out);
     out.push(',');
-    quote(&r.uri_path, &mut out);
-    let _ = write!(out, ",{},{},", r.status, r.bytes);
-    quote(r.referer.as_deref().unwrap_or(""), &mut out);
-    out
+    quote(interner.resolve(row.uri_path), out);
+    let _ = write!(out, ",{},{},", row.status, row.bytes);
+    quote(row.referer.map_or("", |s| interner.resolve(s)), out);
 }
 
 /// Encode a full dataset with header.
 pub fn encode(records: &[AccessRecord]) -> String {
-    let mut out = String::with_capacity(records.len() * 128 + HEADER.len() + 1);
-    out.push_str(HEADER);
-    out.push('\n');
-    for r in records {
-        out.push_str(&encode_record(r));
-        out.push('\n');
-    }
-    out
+    encode_table(&LogTable::from_records(records))
 }
 
 /// Split one CSV line into fields honouring RFC 4180 quoting.
@@ -281,16 +275,14 @@ pub fn write_table<W: Write>(w: &mut W, table: &LogTable) -> io::Result<()> {
     let mut line = String::with_capacity(160);
     for row in table.rows() {
         line.clear();
-        let r = table.materialize(row);
-        line.push_str(&encode_record(&r));
+        encode_row(table.interner(), row, &mut line);
         line.push('\n');
         w.write_all(line.as_bytes())?;
     }
     Ok(())
 }
 
-/// Encode a whole table as a CSV string (header included). Equivalent
-/// to `encode(&table.to_records())`.
+/// Encode a whole table as a CSV string (header included).
 pub fn encode_table(table: &LogTable) -> String {
     let mut out = Vec::with_capacity(table.len() * 128 + HEADER.len() + 1);
     write_table(&mut out, table).expect("writing to a Vec cannot fail");
@@ -370,9 +362,8 @@ mod tests {
 
     #[test]
     fn ip_hash_is_hex() {
-        let r = sample("x", "/");
-        let line = encode_record(&r);
-        assert!(line.contains("000000000000abcd"));
+        let text = encode(&[sample("x", "/")]);
+        assert!(text.contains(",000000000000abcd,"));
     }
 
     #[test]

@@ -37,8 +37,7 @@ use std::io::{self, BufRead, Write};
 
 use crate::codec::DecodeError;
 use crate::intern::{StringInterner, Sym};
-use crate::record::AccessRecord;
-use crate::sink::RowSink;
+use crate::sink::{RowSink, SymMap};
 use crate::table::{LogTable, RecordRow};
 use crate::time::Timestamp;
 
@@ -123,7 +122,15 @@ pub fn write_table<W: Write>(w: &mut W, table: &LogTable) -> io::Result<()> {
     w.write_all(&[TAG_END])
 }
 
-/// Streams rows into the binary format, interning strings on the fly.
+/// Streams rows into the binary format with its own dictionary.
+///
+/// The sink translates each row's symbols from the stream's dictionary
+/// into its own through a dense `Sym`-indexed table, interning a string
+/// the first time a row uses it. Fields are visited in the order
+/// useragent, asn, sitename, uri_path, referer, as in
+/// [`crate::table::LogTable::push_record`]: the dictionary — and so the
+/// file — depends only on the rows' strings and their order, never on
+/// the ids of the stream that produced them.
 ///
 /// Every [`PAGE_ROWS`] rows (configurable via
 /// [`BinSink::with_page_rows`]) the sink emits a dictionary page holding
@@ -131,15 +138,12 @@ pub fn write_table<W: Write>(w: &mut W, table: &LogTable) -> io::Result<()> {
 /// page — so a consumer always sees a string's definition before any
 /// row that references it. [`RowSink::finish`] writes the remainder, the
 /// end marker, and flushes.
-///
-/// Strings are interned in record-field order (useragent, asn,
-/// sitename, uri_path, referer), matching
-/// [`crate::table::LogTable::push_record`]: feeding the same records in
-/// the same order as a materialized table produces the same dictionary.
 #[derive(Debug)]
 pub struct BinSink<W: Write> {
     writer: W,
     interner: StringInterner,
+    /// Stream symbol → symbol in `interner`.
+    map: SymMap,
     /// Interner entries already written in a dictionary page.
     dict_flushed: usize,
     rows: Vec<RecordRow>,
@@ -155,6 +159,7 @@ impl<W: Write> BinSink<W> {
         Ok(BinSink {
             writer,
             interner: StringInterner::new(),
+            map: SymMap::default(),
             dict_flushed: 0,
             rows: Vec::new(),
             page_rows: PAGE_ROWS,
@@ -197,18 +202,8 @@ impl<W: Write> BinSink<W> {
 }
 
 impl<W: Write> RowSink for BinSink<W> {
-    fn write_row(&mut self, record: &AccessRecord) -> io::Result<()> {
-        let row = RecordRow {
-            useragent: self.interner.intern(&record.useragent),
-            asn: self.interner.intern(&record.asn),
-            sitename: self.interner.intern(&record.sitename),
-            uri_path: self.interner.intern(&record.uri_path),
-            referer: record.referer.as_deref().map(|s| self.interner.intern(s)),
-            timestamp: record.timestamp,
-            ip_hash: record.ip_hash,
-            bytes: record.bytes,
-            status: record.status,
-        };
+    fn write_row(&mut self, interner: &StringInterner, row: &RecordRow) -> io::Result<()> {
+        let row = self.map.row(interner, row, |s| self.interner.intern(s));
         self.rows.push(row);
         if self.rows.len() >= self.page_rows {
             self.flush_page()?;
@@ -477,6 +472,8 @@ pub fn read_table<R: BufRead>(reader: R) -> Result<LogTable, DecodeError> {
 mod tests {
     use super::*;
     use crate::codec;
+    use crate::record::AccessRecord;
+    use crate::sink::tests::sorted_dictionary;
 
     fn sample(i: u64) -> AccessRecord {
         AccessRecord {
@@ -523,20 +520,28 @@ mod tests {
         assert!(back.is_empty());
     }
 
+    fn sink_bytes(table: &LogTable, page_rows: usize) -> Vec<u8> {
+        let mut sink = BinSink::new(Vec::new()).unwrap().with_page_rows(page_rows);
+        for row in table.rows() {
+            sink.write_row(table.interner(), row).unwrap();
+        }
+        sink.finish().unwrap();
+        sink.into_inner()
+    }
+
     #[test]
     fn sink_matches_write_table_for_push_record_order() {
-        // A table built by push_record interns in the same order as the
-        // sink, so the bytes agree even with interleaved pages.
+        // The sink interns in push_record order whatever the stream's
+        // ids, so its rows equal a push_record table's even with
+        // interleaved pages and a differently ordered stream dictionary.
         let table = sample_table(10);
         let mut whole = Vec::new();
         write_table(&mut whole, &table).unwrap();
 
-        let mut sink = BinSink::new(Vec::new()).unwrap().with_page_rows(4);
-        for r in table.iter_records() {
-            sink.write_row(&r).unwrap();
-        }
-        sink.finish().unwrap();
-        let streamed = sink.into_inner();
+        let sorted = sorted_dictionary(&table.to_records());
+        assert_ne!(sorted.rows(), table.rows());
+        let streamed = sink_bytes(&sorted, 4);
+        assert_eq!(streamed, sink_bytes(&table, 4), "stream ids must not reach the file");
         // Page boundaries differ, decoded content does not.
         let back = read_table(&streamed[..]).unwrap();
         assert_eq!(back.rows(), table.rows());
@@ -546,22 +551,14 @@ mod tests {
     #[test]
     fn sink_is_deterministic_for_fixed_page_size() {
         let table = sample_table(23);
-        let mut outs = Vec::new();
-        for _ in 0..2 {
-            let mut sink = BinSink::new(Vec::new()).unwrap().with_page_rows(7);
-            for r in table.iter_records() {
-                sink.write_row(&r).unwrap();
-            }
-            sink.finish().unwrap();
-            outs.push(sink.into_inner());
-        }
-        assert_eq!(outs[0], outs[1]);
+        assert_eq!(sink_bytes(&table, 7), sink_bytes(&table, 7));
     }
 
     #[test]
     fn finish_is_idempotent() {
+        let table = LogTable::from_records(&[sample(1)]);
         let mut sink = BinSink::new(Vec::new()).unwrap();
-        sink.write_row(&sample(1)).unwrap();
+        sink.write_row(table.interner(), &table.rows()[0]).unwrap();
         sink.finish().unwrap();
         sink.finish().unwrap();
         let bytes = sink.into_inner();

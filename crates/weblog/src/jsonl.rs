@@ -6,8 +6,11 @@
 //! unnecessary (DESIGN.md §7); re-import uses the CSV codec.
 
 use std::fmt::Write as _;
+use std::io::{self, Write};
 
+use crate::intern::StringInterner;
 use crate::record::AccessRecord;
+use crate::table::{LogTable, RecordRow};
 
 /// Escape a string per RFC 8259 §7 into `out` (with surrounding quotes).
 fn escape_into(s: &str, out: &mut String) {
@@ -30,38 +33,47 @@ fn escape_into(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Encode one record as a single JSON object (no trailing newline).
-pub fn encode_record(r: &AccessRecord) -> String {
-    let mut out = String::with_capacity(192);
+/// Append one interned row to `out` as a single JSON object (no
+/// trailing newline). The one row encoder behind [`write_table`] and
+/// [`crate::sink::JsonlSink`].
+pub fn encode_row(interner: &StringInterner, row: &RecordRow, out: &mut String) {
     out.push_str("{\"useragent\":");
-    escape_into(&r.useragent, &mut out);
+    escape_into(interner.resolve(row.useragent), out);
     out.push_str(",\"timestamp\":");
-    escape_into(&r.timestamp.to_iso8601(), &mut out);
-    let _ = write!(out, ",\"ip_hash\":\"{:016x}\"", r.ip_hash);
+    escape_into(&row.timestamp.to_iso8601(), out);
+    let _ = write!(out, ",\"ip_hash\":\"{:016x}\"", row.ip_hash);
     out.push_str(",\"asn\":");
-    escape_into(&r.asn, &mut out);
+    escape_into(interner.resolve(row.asn), out);
     out.push_str(",\"sitename\":");
-    escape_into(&r.sitename, &mut out);
+    escape_into(interner.resolve(row.sitename), out);
     out.push_str(",\"uri_path\":");
-    escape_into(&r.uri_path, &mut out);
-    let _ = write!(out, ",\"status\":{},\"bytes\":{}", r.status, r.bytes);
+    escape_into(interner.resolve(row.uri_path), out);
+    let _ = write!(out, ",\"status\":{},\"bytes\":{}", row.status, row.bytes);
     out.push_str(",\"referer\":");
-    match &r.referer {
-        Some(referer) => escape_into(referer, &mut out),
+    match row.referer {
+        Some(referer) => escape_into(interner.resolve(referer), out),
         None => out.push_str("null"),
     }
     out.push('}');
-    out
+}
+
+/// Encode a table to a writer, one JSON object per line.
+pub fn write_table<W: Write>(w: &mut W, table: &LogTable) -> io::Result<()> {
+    let mut line = String::with_capacity(192);
+    for row in table.rows() {
+        line.clear();
+        encode_row(table.interner(), row, &mut line);
+        line.push('\n');
+        w.write_all(line.as_bytes())?;
+    }
+    Ok(())
 }
 
 /// Encode a dataset: one JSON object per line.
 pub fn encode(records: &[AccessRecord]) -> String {
-    let mut out = String::with_capacity(records.len() * 192);
-    for r in records {
-        out.push_str(&encode_record(r));
-        out.push('\n');
-    }
-    out
+    let mut out = Vec::with_capacity(records.len() * 192);
+    write_table(&mut out, &LogTable::from_records(records)).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("encoded JSON is UTF-8")
 }
 
 #[cfg(test)]
@@ -81,6 +93,13 @@ mod tests {
             bytes: 1234,
             referer: None,
         }
+    }
+
+    /// One record's JSON object, without the line terminator.
+    fn encode_record(r: &AccessRecord) -> String {
+        let mut text = encode(std::slice::from_ref(r));
+        assert_eq!(text.pop(), Some('\n'));
+        text
     }
 
     #[test]

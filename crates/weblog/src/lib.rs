@@ -26,12 +26,14 @@
 //!   model as [`LogTable`], persisted; decodes with bounded memory and
 //!   hardened against corrupt input,
 //! * [`sink`] — row-streaming output ([`sink::RowSink`]): producers
-//!   with a deterministic row order write CSV/JSONL/binary incrementally
-//!   instead of materializing a full table first,
+//!   with a deterministic row order write interned rows to
+//!   CSV/JSONL/binary incrementally instead of materializing a full
+//!   table first,
 //! * [`stream`] — the input-side dual ([`stream::RowStream`]): pull-based
 //!   interned-row readers over CSV, binary, or in-memory tables,
-//! * [`merge`] — the shared k-way merge of canonically sorted runs
-//!   ([`merge::merge_runs`]), byte-identical to materialize-then-sort,
+//! * [`merge`] — the shared serial k-way merge of canonically sorted
+//!   runs ([`merge::merge_runs`]) into one dictionary, byte-identical to
+//!   materialize-then-sort,
 //! * [`session`] — 5-minute-gap sessionization (paper §3.2),
 //! * [`filter`] — the study's preprocessing filters (scanner removal,
 //!   date-range restriction),
@@ -82,7 +84,7 @@ pub mod time;
 pub use fetchlog::FetchEventLog;
 pub use intern::{StringInterner, Sym};
 pub use iphash::IpHasher;
-pub use merge::{merge_runs, merge_runs_parallel, MergeRun};
+pub use merge::{merge_runs, MergeRun};
 pub use record::AccessRecord;
 pub use session::{sessionize, Session, SESSION_GAP_SECS};
 pub use stream::RowStream;

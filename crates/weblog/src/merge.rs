@@ -1,12 +1,23 @@
 //! K-way merge of canonically sorted row runs.
 //!
-//! Parallel producers (generation workers, the monitoring daemon's
-//! event shards) each emit rows in the canonical order
+//! Producers (generation workers, the monitoring daemon's event shards)
+//! each emit rows in the canonical order
 //! `(timestamp, useragent, ip_hash, uri_path)` — as an in-memory table
 //! or as sorted runs spilled to disk. [`merge_runs`] merges any number
-//! of such runs into one globally ordered stream of
-//! [`AccessRecord`]s pushed through [`RowSink`]s, holding only one row
-//! per run in memory.
+//! of such runs into one globally ordered stream of interned
+//! [`RecordRow`]s pushed through [`RowSink`]s, holding only one row per
+//! run in memory.
+//!
+//! ## One dictionary for the whole stream
+//!
+//! Every run brings its own interner. Before the first row, the merge
+//! builds one [`StringInterner`] holding every run's strings in
+//! byte-lexicographic order, so merged symbol *r* is the string of rank
+//! *r*, plus one table per run interner from its ids to merged ids.
+//! Each row is remapped as it is pulled from its run; heap keys then
+//! compare merged symbols as integers — never strings — and every sink
+//! receives the same unchanging dictionary with every row (the
+//! [`RowSink`] contract). No owned record is built along the way.
 //!
 //! ## Equivalence to materialize-then-sort
 //!
@@ -16,27 +27,14 @@
 //! the run index as the final tiebreak, so rows with equal canonical
 //! keys drain in run order — which is exactly where a stable sort of
 //! the concatenation would put them.
-//!
-//! [`merge_runs_parallel`] keeps that guarantee while spreading the heap
-//! work over worker threads: runs are partitioned into **contiguous**
-//! groups, each group runs its own local heap merge on a worker and
-//! streams `(key, record)` pairs through a bounded channel, and the
-//! calling thread runs a final tournament over the group heads with the
-//! group index as the tiebreak. Because groups are contiguous in run
-//! order, (group index, local run index) orders equal-key rows exactly
-//! like the global run index does — so the output is byte-identical to
-//! [`merge_runs`] regardless of thread scheduling, and memory stays
-//! bounded by the channel depth per group.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::io;
-use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 
 use crate::codec::DecodeError;
-use crate::intern::StringInterner;
-use crate::record::AccessRecord;
+use crate::intern::{StringInterner, Sym};
 use crate::sink::RowSink;
 use crate::stream::RowStream;
 use crate::table::{LogTable, RecordRow};
@@ -66,7 +64,9 @@ impl MergeRun {
     /// A run backed by a stream whose rows are **already** in canonical
     /// order and whose symbols are valid in `interner` (which must be
     /// an append-only superset of the stream's own dictionary — e.g.
-    /// the final interner of the worker that spilled the run).
+    /// the final interner of the worker that spilled the run). A row
+    /// with a symbol outside `interner` fails the merge with
+    /// [`io::ErrorKind::InvalidData`].
     pub fn from_sorted_stream(
         interner: Arc<StringInterner>,
         stream: Box<dyn RowStream + Send>,
@@ -82,46 +82,40 @@ impl MergeRun {
     }
 }
 
-fn materialize(interner: &StringInterner, row: &RecordRow) -> AccessRecord {
-    AccessRecord {
-        useragent: interner.resolve(row.useragent).to_string(),
-        timestamp: row.timestamp,
-        ip_hash: row.ip_hash,
-        asn: interner.resolve(row.asn).to_string(),
-        sitename: interner.resolve(row.sitename).to_string(),
-        uri_path: interner.resolve(row.uri_path).to_string(),
-        status: row.status,
-        bytes: row.bytes,
-        referer: row.referer.map(|s| interner.resolve(s).to_string()),
-    }
-}
-
 /// Merge canonically sorted `runs` into every sink, in the global
 /// canonical order with run index as the tiebreak (see module docs for
 /// why that reproduces materialize-then-stable-sort byte-for-byte).
-/// Calls [`RowSink::finish`] on every sink after the last row and
-/// returns the number of rows merged. Decode errors from stream-backed
-/// runs surface as [`io::ErrorKind::InvalidData`].
+/// Every row reaches the sinks with the merged dictionary. Calls
+/// [`RowSink::finish`] on every sink after the last row and returns the
+/// number of rows merged. Decode errors from stream-backed runs, and
+/// symbols outside their run's interner, surface as
+/// [`io::ErrorKind::InvalidData`].
 pub fn merge_runs(mut runs: Vec<MergeRun>, sinks: &mut [&mut dyn RowSink]) -> io::Result<u64> {
     let obs = botscope_obs::global();
     let _span = obs.span("weblog_merge");
     obs.counter("weblog_merge_runs_total").add(runs.len() as u64);
-    let per_run_ranks = build_rank_tables(&runs);
+    let (merged, remaps) = merged_dictionary(&runs);
 
-    // (timestamp, ua rank, ip hash, path rank, run index).
-    type Key = (Timestamp, u32, u64, u32, usize);
-    let key_of = |ranks: &[u32], row: &RecordRow, run: usize| -> Key {
-        (row.timestamp, ranks[row.useragent.index()], row.ip_hash, ranks[row.uri_path.index()], run)
+    let mut pull = |i: usize| -> io::Result<Option<RecordRow>> {
+        match runs[i].next() {
+            None => Ok(None),
+            Some(Err(e)) => Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
+            Some(Ok(row)) => remap(&remaps[i], &row).map(Some),
+        }
     };
-    let decode_err = |e: DecodeError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
+    // (timestamp, useragent, ip hash, uri_path, run index): merged
+    // symbols order like their strings.
+    type Key = (Timestamp, Sym, u64, Sym, usize);
+    let key_of = |row: &RecordRow, run: usize| -> Key {
+        (row.timestamp, row.useragent, row.ip_hash, row.uri_path, run)
+    };
 
-    let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::with_capacity(runs.len());
-    let mut current: Vec<Option<RecordRow>> = runs.iter().map(|_| None).collect();
-    for (i, run) in runs.iter_mut().enumerate() {
-        if let Some(row) = run.next() {
-            let row = row.map_err(decode_err)?;
-            heap.push(Reverse(key_of(&per_run_ranks[i], &row, i)));
-            current[i] = Some(row);
+    let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::with_capacity(remaps.len());
+    let mut current: Vec<Option<RecordRow>> = vec![None; remaps.len()];
+    for (i, slot) in current.iter_mut().enumerate() {
+        if let Some(row) = pull(i)? {
+            heap.push(Reverse(key_of(&row, i)));
+            *slot = Some(row);
         }
     }
 
@@ -129,14 +123,12 @@ pub fn merge_runs(mut runs: Vec<MergeRun>, sinks: &mut [&mut dyn RowSink]) -> io
     while let Some(Reverse(key)) = heap.pop() {
         let i = key.4;
         let row = current[i].take().expect("heap entry implies a current row");
-        let record = materialize(&runs[i].interner, &row);
         for sink in sinks.iter_mut() {
-            sink.write_row(&record)?;
+            sink.write_row(&merged, &row)?;
         }
         rows += 1;
-        if let Some(next) = runs[i].next() {
-            let next = next.map_err(decode_err)?;
-            heap.push(Reverse(key_of(&per_run_ranks[i], &next, i)));
+        if let Some(next) = pull(i)? {
+            heap.push(Reverse(key_of(&next, i)));
             current[i] = Some(next);
         }
     }
@@ -147,182 +139,76 @@ pub fn merge_runs(mut runs: Vec<MergeRun>, sinks: &mut [&mut dyn RowSink]) -> io
     Ok(rows)
 }
 
-/// Global byte-lexicographic ranks across every run's interner, so heap
-/// comparisons are over integers, never strings. Stream-backed runs must
-/// supply their final interner up front (the `from_sorted_stream`
-/// contract), which makes the rank tables total. Runs sharing one `Arc`
-/// interner (a spilling worker's runs all do) share one rank table:
-/// per-run cost must not scale with dictionary size, or a wide merge over
-/// a large-dictionary unit blows the memory budget.
-fn build_rank_tables(runs: &[MergeRun]) -> Vec<Arc<Vec<u32>>> {
-    let mut seen: BTreeSet<*const StringInterner> = BTreeSet::new();
-    let mut global: BTreeSet<&str> = BTreeSet::new();
+/// The merged dictionary — every run interner's strings, deduplicated,
+/// interned in byte-lexicographic order so `Sym` order is string order —
+/// and, per run, the table from its interner's ids to merged ids.
+/// Stream-backed runs must supply their final interner up front (the
+/// `from_sorted_stream` contract), which makes the tables total. Runs
+/// sharing one `Arc` interner (a spilling worker's runs all do) share
+/// one table: per-run cost must not scale with dictionary size, or a
+/// wide merge over a large-dictionary unit blows the memory budget.
+fn merged_dictionary(runs: &[MergeRun]) -> (StringInterner, Vec<Arc<Vec<Sym>>>) {
+    let mut seen: HashSet<*const StringInterner> = HashSet::new();
+    let mut strings: Vec<&str> = Vec::new();
     for run in runs {
         if seen.insert(Arc::as_ptr(&run.interner)) {
-            for (_, s) in run.interner.iter() {
-                global.insert(s);
-            }
+            strings.extend(run.interner.iter().map(|(_, s)| s));
         }
     }
-    let rank_of: HashMap<&str, u32> =
-        global.into_iter().enumerate().map(|(i, s)| (s, i as u32)).collect();
-    let mut cache: HashMap<*const StringInterner, Arc<Vec<u32>>> = HashMap::new();
-    runs.iter()
+    strings.sort_unstable();
+    strings.dedup();
+    let mut merged = StringInterner::with_capacity(strings.len());
+    for s in strings {
+        merged.intern(s);
+    }
+    let mut cache: HashMap<*const StringInterner, Arc<Vec<Sym>>> = HashMap::new();
+    let remaps = runs
+        .iter()
         .map(|run| {
-            cache
-                .entry(Arc::as_ptr(&run.interner))
-                .or_insert_with(|| Arc::new(run.interner.iter().map(|(_, s)| rank_of[s]).collect()))
-                .clone()
+            let table = cache.entry(Arc::as_ptr(&run.interner)).or_insert_with(|| {
+                let ids = run
+                    .interner
+                    .iter()
+                    .map(|(_, s)| merged.get(s).expect("every run string is merged"));
+                Arc::new(ids.collect())
+            });
+            Arc::clone(table)
         })
-        .collect()
+        .collect();
+    (merged, remaps)
 }
 
-/// Canonical sort key without a run tiebreak: what a group worker ships
-/// alongside each materialized record.
-type GroupKey = (Timestamp, u32, u64, u32);
-
-/// Bounded depth of each group's output channel. Memory during a parallel
-/// merge is `groups × CHANNEL_DEPTH` in-flight records plus one row per
-/// run — still bounded, never a materialized table.
-const CHANNEL_DEPTH: usize = 1024;
-
-/// [`merge_runs`] with the per-run heap work fanned over `workers`
-/// threads. Output is **byte-identical** to the serial merge at any
-/// worker count and under any thread scheduling (see module docs); falls
-/// back to the serial path when `workers <= 1` or there are fewer than
-/// two runs.
-pub fn merge_runs_parallel(
-    runs: Vec<MergeRun>,
-    sinks: &mut [&mut dyn RowSink],
-    workers: usize,
-) -> io::Result<u64> {
-    let groups = workers.min(runs.len());
-    if groups <= 1 {
-        return merge_runs(runs, sinks);
-    }
-    let obs = botscope_obs::global();
-    let _span = obs.span("weblog_merge_parallel");
-    obs.counter("weblog_merge_runs_total").add(runs.len() as u64);
-    obs.counter("weblog_merge_groups_total").add(groups as u64);
-    let per_run_ranks = build_rank_tables(&runs);
-
-    // Contiguous partition: group g takes the next `base (+1)` runs in
-    // run order. Contiguity is what makes (group, local run) order equal
-    // to global run order for equal keys.
-    let mut parts: Vec<Vec<(MergeRun, Arc<Vec<u32>>)>> = Vec::with_capacity(groups);
-    let base = runs.len() / groups;
-    let extra = runs.len() % groups;
-    let mut paired: std::vec::IntoIter<(MergeRun, Arc<Vec<u32>>)> =
-        runs.into_iter().zip(per_run_ranks).collect::<Vec<_>>().into_iter();
-    for g in 0..groups {
-        let take = base + usize::from(g < extra);
-        parts.push(paired.by_ref().take(take).collect());
-    }
-
-    let mut rows = 0u64;
-    let merged: io::Result<()> = std::thread::scope(|scope| {
-        let mut rxs = Vec::with_capacity(groups);
-        for part in parts {
-            let (tx, rx) = std::sync::mpsc::sync_channel(CHANNEL_DEPTH);
-            scope.spawn(move || group_merge(part, &tx));
-            rxs.push(rx);
-        }
-
-        // Final tournament over the group heads: group index breaks ties.
-        let mut heap: BinaryHeap<Reverse<(GroupKey, usize)>> = BinaryHeap::with_capacity(groups);
-        let mut current: Vec<Option<AccessRecord>> = (0..groups).map(|_| None).collect();
-        let pull = |g: usize,
-                    heap: &mut BinaryHeap<Reverse<(GroupKey, usize)>>,
-                    current: &mut Vec<Option<AccessRecord>>|
-         -> io::Result<()> {
-            match rxs[g].recv() {
-                Ok(Ok((key, record))) => {
-                    heap.push(Reverse((key, g)));
-                    current[g] = Some(record);
-                    Ok(())
-                }
-                Ok(Err(e)) => Err(e),
-                // Disconnect: the group is exhausted.
-                Err(_) => Ok(()),
-            }
-        };
-        for g in 0..groups {
-            pull(g, &mut heap, &mut current)?;
-        }
-        while let Some(Reverse((_, g))) = heap.pop() {
-            let record = current[g].take().expect("heap entry implies a current record");
-            for sink in sinks.iter_mut() {
-                sink.write_row(&record)?;
-            }
-            rows += 1;
-            pull(g, &mut heap, &mut current)?;
-        }
-        Ok(())
-        // An early `?` drops `rxs` here; workers then fail their `send`
-        // and exit, so the scope join cannot deadlock.
-    });
-    merged?;
-    for sink in sinks.iter_mut() {
-        sink.finish()?;
-    }
-    obs.counter("weblog_merge_rows_total").add(rows);
-    Ok(rows)
-}
-
-/// One group worker: a local heap merge over its contiguous slice of
-/// runs, shipping materialized records in canonical order. Local run
-/// index breaks equal-key ties, exactly like the serial merge does.
-fn group_merge(
-    mut part: Vec<(MergeRun, Arc<Vec<u32>>)>,
-    tx: &SyncSender<io::Result<(GroupKey, AccessRecord)>>,
-) {
-    type Key = (Timestamp, u32, u64, u32, usize);
-    let key_of = |ranks: &[u32], row: &RecordRow, run: usize| -> Key {
-        (row.timestamp, ranks[row.useragent.index()], row.ip_hash, ranks[row.uri_path.index()], run)
+/// Rewrite all five symbol fields of `row` through `table` (run ids →
+/// merged ids). An id the table does not cover — a raw-mode stream
+/// whose file defines more strings than the run's interner — is
+/// [`io::ErrorKind::InvalidData`], not a panic.
+fn remap(table: &[Sym], row: &RecordRow) -> io::Result<RecordRow> {
+    let map = |sym: Sym| {
+        table.get(sym.index()).copied().ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "symbol id {} outside its run's dictionary ({} entries)",
+                    sym.index(),
+                    table.len()
+                ),
+            )
+        })
     };
-    let decode_err = |e: DecodeError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
-
-    let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::with_capacity(part.len());
-    let mut current: Vec<Option<RecordRow>> = part.iter().map(|_| None).collect();
-    for (i, (run, ranks)) in part.iter_mut().enumerate() {
-        match run.next() {
-            Some(Ok(row)) => {
-                heap.push(Reverse(key_of(ranks, &row, i)));
-                current[i] = Some(row);
-            }
-            Some(Err(e)) => {
-                let _ = tx.send(Err(decode_err(e)));
-                return;
-            }
-            None => {}
-        }
-    }
-    while let Some(Reverse(key)) = heap.pop() {
-        let i = key.4;
-        let row = current[i].take().expect("heap entry implies a current row");
-        let record = materialize(&part[i].0.interner, &row);
-        if tx.send(Ok(((key.0, key.1, key.2, key.3), record))).is_err() {
-            // Receiver gone (error or early exit downstream): stop quietly.
-            return;
-        }
-        match part[i].0.next() {
-            Some(Ok(next)) => {
-                let ranks = &part[i].1;
-                heap.push(Reverse(key_of(ranks, &next, i)));
-                current[i] = Some(next);
-            }
-            Some(Err(e)) => {
-                let _ = tx.send(Err(decode_err(e)));
-                return;
-            }
-            None => {}
-        }
-    }
+    Ok(RecordRow {
+        useragent: map(row.useragent)?,
+        asn: map(row.asn)?,
+        sitename: map(row.sitename)?,
+        uri_path: map(row.uri_path)?,
+        referer: row.referer.map(map).transpose()?,
+        ..*row
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::AccessRecord;
     use crate::sink::TableSink;
 
     fn rec(ua: &str, ip: u64, t: u64, path: &str) -> AccessRecord {
@@ -472,94 +358,65 @@ mod tests {
         let mut sinks: Vec<&mut dyn RowSink> = vec![&mut sink];
         assert_eq!(merge_runs(Vec::new(), &mut sinks).unwrap(), 0);
         assert!(sink.table.is_empty());
-        let mut sinks: Vec<&mut dyn RowSink> = vec![&mut sink];
-        assert_eq!(merge_runs_parallel(Vec::new(), &mut sinks, 4).unwrap(), 0);
     }
 
     #[test]
-    fn parallel_merge_matches_serial_at_every_worker_count() {
-        let sets = run_sets();
-        for workers in [1, 2, 3, 4, 8] {
-            let runs: Vec<MergeRun> =
-                sets.iter().map(|rs| MergeRun::from_table(LogTable::from_records(rs))).collect();
-            let mut sink = TableSink::new();
-            let mut sinks: Vec<&mut dyn RowSink> = vec![&mut sink];
-            let n = merge_runs_parallel(runs, &mut sinks, workers).unwrap();
-            assert_eq!(n, 7, "workers={workers}");
-            assert_eq!(sink.table.to_records(), reference(&sets), "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn parallel_merge_keeps_equal_keys_in_run_order() {
-        // Four runs of identical canonical keys, distinguishable by
-        // payload; every grouping must preserve global run order.
-        let sets: Vec<Vec<AccessRecord>> = (0..4u64)
-            .map(|i| vec![AccessRecord { bytes: 100 + i, ..rec("a", 1, 10, "/y") }])
-            .collect();
-        for workers in [2, 3, 4] {
-            let runs: Vec<MergeRun> =
-                sets.iter().map(|rs| MergeRun::from_table(LogTable::from_records(rs))).collect();
-            let mut sink = TableSink::new();
-            let mut sinks: Vec<&mut dyn RowSink> = vec![&mut sink];
-            merge_runs_parallel(runs, &mut sinks, workers).unwrap();
-            let bytes: Vec<u64> = sink.table.to_records().iter().map(|r| r.bytes).collect();
-            assert_eq!(bytes, vec![100, 101, 102, 103], "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn parallel_merge_over_raw_streams_matches_reference() {
-        // The engine's spill shape under the parallel merge: shared unit
-        // interner, raw-mode binary runs, two workers.
-        let sets = run_sets();
-        let mut unit = LogTable::new();
-        let mut bins: Vec<Vec<u8>> = Vec::new();
-        for rs in &sets {
-            let rows: Vec<RecordRow> = rs
-                .iter()
-                .map(|r| {
-                    unit.push_record(r);
-                    *unit.rows().last().expect("pushed")
-                })
-                .collect();
-            let mut run = LogTable::from_parts(unit.interner().clone(), rows);
-            run.sort_canonical();
-            let mut bytes = Vec::new();
-            crate::colfmt::write_table(&mut bytes, &run).unwrap();
-            bins.push(bytes);
-        }
-        let shared = Arc::new(unit.interner().clone());
-        let runs: Vec<MergeRun> = bins
-            .iter()
-            .map(|bytes| {
-                let reader =
-                    crate::colfmt::BinReader::new_raw(std::io::Cursor::new(bytes.clone())).unwrap();
-                MergeRun::from_sorted_stream(shared.clone(), Box::new(reader))
-            })
-            .collect();
-        let mut sink = TableSink::new();
-        let mut sinks: Vec<&mut dyn RowSink> = vec![&mut sink];
-        merge_runs_parallel(runs, &mut sinks, 2).unwrap();
-        assert_eq!(sink.table.to_records(), reference(&sets));
-    }
-
-    #[test]
-    fn parallel_merge_surfaces_decode_errors() {
-        let mut table = LogTable::from_records(&[rec("a", 1, 10, "/y"), rec("b", 2, 20, "/z")]);
+    fn out_of_dictionary_symbol_is_invalid_data() {
+        // A raw reader checks ids only against its file's dictionary;
+        // the run's interner (here empty) is what the merge remaps
+        // through, so the id it lacks must fail cleanly.
+        let mut table = LogTable::from_records(&[rec("a", 1, 10, "/y")]);
         table.sort_canonical();
         let mut bytes = Vec::new();
         crate::colfmt::write_table(&mut bytes, &table).unwrap();
-        bytes.pop();
-        bytes.truncate(bytes.len().saturating_sub(10));
-        let reader = crate::colfmt::BinReader::new(std::io::Cursor::new(bytes)).unwrap();
-        let bad =
-            MergeRun::from_sorted_stream(Arc::new(table.interner().clone()), Box::new(reader));
-        let good = MergeRun::from_table(LogTable::from_records(&[rec("c", 3, 30, "/q")]));
+        let reader = crate::colfmt::BinReader::new_raw(std::io::Cursor::new(bytes)).unwrap();
+        let run = MergeRun::from_sorted_stream(Arc::new(StringInterner::new()), Box::new(reader));
         let mut sink = TableSink::new();
         let mut sinks: Vec<&mut dyn RowSink> = vec![&mut sink];
-        let e = merge_runs_parallel(vec![bad, good], &mut sinks, 2).unwrap_err();
+        let e = merge_runs(vec![run], &mut sinks).unwrap_err();
         assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("outside its run's dictionary"), "{e}");
+        assert!(sink.table.is_empty());
+    }
+
+    /// Records every row with the strings of its dictionary, and checks
+    /// that the dictionary is the same one on every row.
+    #[derive(Default)]
+    struct DictProbe {
+        dictionary: Option<Vec<String>>,
+        rows: usize,
+    }
+
+    impl RowSink for DictProbe {
+        fn write_row(&mut self, interner: &StringInterner, row: &RecordRow) -> io::Result<()> {
+            let strings: Vec<String> = interner.iter().map(|(_, s)| s.to_string()).collect();
+            assert_eq!(self.dictionary.get_or_insert_with(|| strings.clone()), &strings);
+            assert!(row.useragent.index() < strings.len());
+            self.rows += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn sinks_see_one_sorted_dictionary() {
+        let sets = run_sets();
+        let runs: Vec<MergeRun> =
+            sets.iter().map(|rs| MergeRun::from_table(LogTable::from_records(rs))).collect();
+        let mut probe = DictProbe::default();
+        let mut sinks: Vec<&mut dyn RowSink> = vec![&mut probe];
+        merge_runs(runs, &mut sinks).unwrap();
+        assert_eq!(probe.rows, 7);
+        let dictionary = probe.dictionary.expect("rows seen");
+        let mut expect: Vec<String> = sets
+            .iter()
+            .flatten()
+            .flat_map(|r| {
+                [r.useragent.clone(), r.asn.clone(), r.sitename.clone(), r.uri_path.clone()]
+            })
+            .collect();
+        expect.sort_unstable();
+        expect.dedup();
+        assert_eq!(dictionary, expect, "merged symbol order must be string order");
     }
 
     #[test]

@@ -12,6 +12,34 @@ use botscope_weblog::table::LogTable;
 use botscope_weblog::time::Timestamp;
 use proptest::prelude::*;
 
+/// `records` as a table whose dictionary is in sorted string order (the
+/// k-way merge's dictionary shape), so its ids generally differ from
+/// the first-sight ids a sink assigns.
+fn sorted_dictionary(records: &[AccessRecord]) -> LogTable {
+    let first_sight = LogTable::from_records(records);
+    let mut strings: Vec<&str> = first_sight.interner().iter().map(|(_, s)| s).collect();
+    strings.sort_unstable();
+    let mut table = LogTable::new();
+    for s in strings {
+        table.intern(s);
+    }
+    for r in records {
+        table.push_record(r);
+    }
+    table
+}
+
+/// Stream `table`'s interned rows through a `BinSink` with `page_rows`
+/// rows per page.
+fn sink_bytes(table: &LogTable, page_rows: usize) -> Vec<u8> {
+    let mut sink = colfmt::BinSink::new(Vec::new()).expect("bin sink").with_page_rows(page_rows);
+    for row in table.rows() {
+        sink.write_row(table.interner(), row).expect("write row");
+    }
+    sink.finish().expect("finish");
+    sink.into_inner()
+}
+
 /// `decode_stream` (and the table decoders) must agree with `decode` on
 /// any input: same records on success, same first error on failure.
 /// Panics on disagreement (the proptest macro reports the inputs).
@@ -245,13 +273,11 @@ proptest! {
         let back = colfmt::read_table(&bin[..]).expect("decode own binary");
         prop_assert_eq!(back.to_records(), records.clone());
 
-        // Streaming writer (dictionary deltas, sink-side re-interning).
-        let mut sink = colfmt::BinSink::new(Vec::new()).expect("bin sink");
-        for r in &records {
-            sink.write_row(r).expect("write row");
-        }
-        sink.finish().expect("finish");
-        let streamed_bytes = sink.into_inner();
+        // Streaming writer (dictionary deltas, sink-side re-interning),
+        // fed from a dictionary in a different order: the file must not
+        // depend on the stream's ids.
+        let streamed_bytes = sink_bytes(&sorted_dictionary(&records), colfmt::PAGE_ROWS);
+        prop_assert_eq!(&streamed_bytes, &sink_bytes(&table, colfmt::PAGE_ROWS));
         let back = colfmt::read_table(&streamed_bytes[..]).expect("decode streamed binary");
         prop_assert_eq!(back.to_records(), records.clone());
 
@@ -288,14 +314,9 @@ proptest! {
         // Two chunks through one sink exercise dictionary-delta pages:
         // chunk b's new strings arrive in a later dict page and must
         // remap onto the reader's interner cleanly.
-        let mut sink = colfmt::BinSink::new(Vec::new()).expect("bin sink").with_page_rows(7);
-        for r in a.iter().chain(&b) {
-            sink.write_row(r).expect("write row");
-        }
-        sink.finish().expect("finish");
-        let bytes = sink.into_inner();
-        let back = colfmt::read_table(&bytes[..]).expect("decode");
         let expect: Vec<AccessRecord> = a.into_iter().chain(b).collect();
+        let bytes = sink_bytes(&sorted_dictionary(&expect), 7);
+        let back = colfmt::read_table(&bytes[..]).expect("decode");
         prop_assert_eq!(back.to_records(), expect);
     }
 

@@ -1173,13 +1173,7 @@ fn cmd_monitor(args: &[String]) -> Result<(), String> {
         write_csv(path, &out.table)?;
     }
     if let Some(path) = &jsonl_path {
-        let table = &out.table;
-        write_output(path, |w| {
-            for record in table.iter_records() {
-                writeln!(w, "{}", botscope::weblog::jsonl::encode_record(&record))?;
-            }
-            Ok(())
-        })?;
+        write_output(path, |mut w| botscope::weblog::jsonl::write_table(&mut w, &out.table))?;
     }
     if let Some(path) = &changes_path {
         write_changes(path, &out.changes)?;
