@@ -16,13 +16,28 @@
 //! untouched site keeps its artifact. [`prime_estate`] is the
 //! bootstrap dual, registering a deployment snapshot wholesale.
 //!
+//! Both register documents from one process-wide parsed `RobotsTxt` per
+//! [`PolicyVersion`], shared by `Arc`: a digest costs one estate lookup
+//! and no parse or document allocation, and a 20 000-site estate holds
+//! four documents. Compilation stays per site — each site compiles its
+//! own artifact lazily and recompiles after a behavioral digest.
+//!
 //! [`CompiledPolicy`]: botscope_robotstxt::CompiledPolicy
 
+use std::sync::{Arc, OnceLock};
+
 use botscope_robotstxt::analysis::ChangeClass;
-use botscope_robotstxt::PolicyEstate;
+use botscope_robotstxt::{PolicyEstate, RobotsTxt};
 use botscope_simnet::PolicyVersion;
 
 use crate::daemon::ChangeDigest;
+
+/// The shared parsed document of `version`, built on first use.
+fn version_doc(version: PolicyVersion) -> Arc<RobotsTxt> {
+    static DOCS: OnceLock<[Arc<RobotsTxt>; 4]> = OnceLock::new();
+    let docs = DOCS.get_or_init(|| PolicyVersion::ALL.map(|v| Arc::new(v.robots_txt())));
+    Arc::clone(&docs[version.index()])
+}
 
 /// Register a deployment snapshot: every `(site, live version)` pair
 /// becomes an estate entry. Compilation stays lazy — nothing is
@@ -32,7 +47,7 @@ where
     I: IntoIterator<Item = (&'a str, PolicyVersion)>,
 {
     for (site, version) in deployment {
-        estate.insert(site, version.robots_txt());
+        estate.insert(site, version_doc(version));
     }
 }
 
@@ -68,10 +83,9 @@ pub fn apply_digests(estate: &mut PolicyEstate, digests: &[ChangeDigest]) -> Dig
             outcome.cosmetic_skips += 1;
             continue;
         }
-        if estate.is_compiled(site) {
+        if estate.insert(site, version_doc(digest.to)) {
             outcome.dropped += 1;
         }
-        estate.insert(site, digest.to.robots_txt());
     }
     let obs = botscope_obs::global();
     obs.counter("admission_digests_applied_total").add(digests.len() as u64);
@@ -118,6 +132,31 @@ mod tests {
         assert_eq!(estate.len(), 2);
         assert_eq!(estate.compiled_count(), 0);
         assert_eq!(estate.compiles(), 0);
+    }
+
+    #[test]
+    fn sites_share_one_document_per_version() {
+        let mut estate = PolicyEstate::new();
+        prime_estate(
+            &mut estate,
+            [
+                ("a.example.edu", PolicyVersion::Base),
+                ("b.example.edu", PolicyVersion::Base),
+                ("c.example.edu", PolicyVersion::V1CrawlDelay),
+            ],
+        );
+        apply_digests(
+            &mut estate,
+            &[digest("c.example.edu", PolicyVersion::V1CrawlDelay, PolicyVersion::Base)],
+        );
+        let doc = |site| estate.doc(site).expect("registered") as *const RobotsTxt;
+        assert_eq!(doc("a.example.edu"), doc("b.example.edu"));
+        assert_eq!(doc("a.example.edu"), doc("c.example.edu"));
+        assert_eq!(estate.doc("a.example.edu"), Some(&PolicyVersion::Base.robots_txt()));
+        // Sharing the document does not share the compiled artifact.
+        estate.check("a.example.edu", "GPTBot", "/");
+        assert_eq!(estate.compiled_count(), 1);
+        assert_eq!(estate.compile_debt(), 2);
     }
 
     #[test]

@@ -472,9 +472,19 @@ fn token_matches_ci(group: &str, crawler: &str) -> bool {
 /// first use. [`invalidate`](PolicyEstate::invalidate) drops the compiled
 /// artifact so the next check recompiles — the monitor's change digests
 /// drive this (see `botscope-monitor`'s estate adapter).
+///
+/// Maintenance costs O(1) per call, whatever the estate's size: the
+/// estate keeps an exact count of compiled slots, so
+/// [`compiled_count`](PolicyEstate::compiled_count) and
+/// [`compile_debt`](PolicyEstate::compile_debt) read a counter instead
+/// of scanning every site. Documents are held as `Arc<RobotsTxt>`, so
+/// sites serving the same policy can share one parsed document; each
+/// site still compiles its own artifact.
 #[derive(Debug, Clone, Default)]
 pub struct PolicyEstate {
     sites: HashMap<String, EstateSlot>,
+    /// Slots whose `compiled` is `Some`.
+    compiled: usize,
     compiles: u64,
     cache_hits: u64,
 }
@@ -491,15 +501,35 @@ impl PolicyEstate {
         Self::default()
     }
 
-    /// Register (or replace) a site's document. Any compiled artifact for
-    /// the site is dropped.
-    pub fn insert(&mut self, site: impl Into<String>, doc: RobotsTxt) {
-        self.sites.insert(site.into(), EstateSlot { doc: Arc::new(doc), compiled: None });
+    /// Register (or replace) a site's document. A known site's slot is
+    /// replaced in place, without allocating a new key. Any compiled
+    /// artifact for the site is dropped; returns whether one was.
+    ///
+    /// `doc` may be a `RobotsTxt` or a shared `Arc<RobotsTxt>`.
+    pub fn insert(
+        &mut self,
+        site: impl AsRef<str> + Into<String>,
+        doc: impl Into<Arc<RobotsTxt>>,
+    ) -> bool {
+        let doc = doc.into();
+        match self.sites.get_mut(site.as_ref()) {
+            Some(slot) => {
+                slot.doc = doc;
+                let dropped = slot.compiled.take().is_some();
+                self.compiled -= usize::from(dropped);
+                dropped
+            }
+            None => {
+                self.sites.insert(site.into(), EstateSlot { doc, compiled: None });
+                false
+            }
+        }
     }
 
-    /// Parse and register a site's document text.
-    pub fn insert_text(&mut self, site: impl Into<String>, text: &str) {
-        self.insert(site, parse(text));
+    /// Parse and register a site's document text. Returns whether a
+    /// compiled artifact was dropped, like [`insert`](Self::insert).
+    pub fn insert_text(&mut self, site: impl AsRef<str> + Into<String>, text: &str) -> bool {
+        self.insert(site, parse(text))
     }
 
     /// Drop the compiled artifact for `site`, forcing recompilation on the
@@ -507,7 +537,7 @@ impl PolicyEstate {
     pub fn invalidate(&mut self, site: &str) -> bool {
         match self.sites.get_mut(site) {
             Some(slot) => {
-                slot.compiled = None;
+                self.compiled -= usize::from(slot.compiled.take().is_some());
                 true
             }
             None => false,
@@ -516,7 +546,13 @@ impl PolicyEstate {
 
     /// Remove a site entirely. Returns whether it was known.
     pub fn remove(&mut self, site: &str) -> bool {
-        self.sites.remove(site).is_some()
+        match self.sites.remove(site) {
+            Some(slot) => {
+                self.compiled -= usize::from(slot.compiled.is_some());
+                true
+            }
+            None => false,
+        }
     }
 
     /// The parsed document registered for `site`, if any.
@@ -532,6 +568,7 @@ impl PolicyEstate {
             None => {
                 slot.compiled = Some(Arc::new(CompiledPolicy::compile(&slot.doc)));
                 self.compiles += 1;
+                self.compiled += 1;
             }
         }
         slot.compiled.clone()
@@ -560,9 +597,9 @@ impl PolicyEstate {
         self.sites.get(site).is_some_and(|s| s.compiled.is_some())
     }
 
-    /// Number of sites currently holding a compiled artifact.
+    /// Number of sites currently holding a compiled artifact. O(1).
     pub fn compiled_count(&self) -> usize {
-        self.sites.values().filter(|s| s.compiled.is_some()).count()
+        self.compiled
     }
 
     /// Total compilations performed over the estate's lifetime (cache
@@ -578,9 +615,9 @@ impl PolicyEstate {
     }
 
     /// Registered sites whose artifact is *not* currently compiled —
-    /// the recompile debt the next admission sweep would pay.
+    /// the recompile debt the next admission sweep would pay. O(1).
     pub fn compile_debt(&self) -> usize {
-        self.sites.values().filter(|s| s.compiled.is_none()).count()
+        self.sites.len() - self.compiled
     }
 
     /// Registered site names, in arbitrary order.

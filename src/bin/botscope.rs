@@ -385,7 +385,9 @@ fn admit_site_version(site: &str) -> botscope::simnet::PolicyVersion {
 }
 
 fn cmd_admit(args: &[String]) -> Result<(), String> {
-    use botscope::robots::PolicyEstate;
+    use botscope::monitor::prime_estate;
+    use botscope::robots::{PolicyEstate, RobotsTxt};
+    use std::sync::Arc;
 
     let mut quiet = false;
     let mut robots_file: Option<&str> = None;
@@ -444,17 +446,23 @@ fn cmd_admit(args: &[String]) -> Result<(), String> {
         return Err("no queries (want `agent,site,path` rows)".into());
     }
 
-    // Register every queried site; compilation stays lazy so the first
-    // check against each site pays its compile below, inside the timed
-    // loop — that cost is what the stderr summary reports.
-    let robots_text = robots_file.map(read_file).transpose()?;
+    // Register every queried site against one shared parsed document per
+    // policy (the `--robots` file, or each corpus version); compilation
+    // stays lazy and per site, so the first check against each site pays
+    // its compile below, inside the timed loop — that cost is what the
+    // stderr summary reports.
+    let robots_doc =
+        robots_file.map(read_file).transpose()?.map(|t| Arc::new(RobotsTxt::parse(&t)));
     let mut estate = PolicyEstate::new();
     for &(_, site, _) in &queries {
-        if estate.doc(site).is_none() {
-            match &robots_text {
-                Some(text) => estate.insert_text(site, text),
-                None => estate.insert(site, admit_site_version(site).robots_txt()),
+        if estate.doc(site).is_some() {
+            continue;
+        }
+        match &robots_doc {
+            Some(doc) => {
+                estate.insert(site, Arc::clone(doc));
             }
+            None => prime_estate(&mut estate, [(site, admit_site_version(site))]),
         }
     }
     let sites = estate.len();

@@ -1,4 +1,5 @@
-//! Golden digests of the streamed write paths.
+//! Golden digests of the streamed write paths, the estate replay and
+//! the admission verdicts.
 //!
 //! The other CLI tests compare output paths with each other (streamed
 //! vs materialized, one worker count vs another). These pin the bytes
@@ -16,14 +17,18 @@ use botscope::obs::digest::sha256_hex;
 
 const THREADS: [&str; 2] = ["1", "2"];
 
-fn stdout_of(args: &[&str], threads: &str) -> Vec<u8> {
+fn run(args: &[&str], threads: &str) -> std::process::Output {
     let out = Command::new(env!("CARGO_BIN_EXE_botscope"))
         .args(args)
         .env("BOTSCOPE_THREADS", threads)
         .output()
         .expect("binary runs");
     assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
-    out.stdout
+    out
+}
+
+fn stdout_of(args: &[&str], threads: &str) -> Vec<u8> {
+    run(args, threads).stdout
 }
 
 fn temp_path(name: &str) -> PathBuf {
@@ -96,4 +101,67 @@ fn streamed_monitor_outputs_match_golden_digests() {
             "--jsonl, BOTSCOPE_THREADS={threads}"
         );
     }
+}
+
+#[test]
+fn estate_audit_json_matches_golden_digest() {
+    // Default estate: 36 sites, 46 days; the replay warms all 36 sites
+    // and the behavioral digests drop 9 compiled policies.
+    let args = ["audit", "--estate", "--json"];
+    for threads in THREADS {
+        let stdout = stdout_of(&args, threads);
+        let text = String::from_utf8_lossy(&stdout);
+        assert!(
+            text.contains(r#""admission":{"sites":36,"warmed":36,"dropped":9,"cosmetic_skips":0}"#),
+            "BOTSCOPE_THREADS={threads}: {text}"
+        );
+        assert_eq!(
+            sha256_hex(&stdout),
+            "83e9b136cc124a493902dfc84f1063776df2becaf1221d3c1b4ec8955fa4c7a4",
+            "BOTSCOPE_THREADS={threads}"
+        );
+    }
+}
+
+#[test]
+fn admit_verdicts_match_golden_digest() {
+    // Every default monitor site (`site-00` … `site-35`) × four fleet
+    // agents (two of them exempt from the stricter versions) × the
+    // page-data endpoint v2 keeps open, a content page v2/v3 deny, a
+    // path every version denies, a directory page and the always-allowed
+    // robots.txt.
+    let agents = ["GPTBot", "Googlebot", "ClaudeBot", "bingbot"];
+    let paths = [
+        "/page-data/item-001/page-data.json",
+        "/news/item-001",
+        "/secure/login",
+        "/people/",
+        "/robots.txt",
+    ];
+    let mut queries = String::from("agent,site,path\n");
+    for site in 0..36 {
+        for agent in agents {
+            for path in paths {
+                queries.push_str(&format!("{agent},site-{site:02}.example.edu,{path}\n"));
+            }
+        }
+    }
+    let file = temp_path("admit-queries.csv");
+    std::fs::write(&file, queries).expect("query file written");
+    for threads in THREADS {
+        let out = run(&["admit", file.to_str().unwrap()], threads);
+        let summary = String::from_utf8_lossy(&out.stderr);
+        // Each queried site compiles exactly once, on its first check.
+        assert!(
+            summary.contains("720 queries over 36 site(s)")
+                && summary.contains("; 36 policy compile(s);"),
+            "BOTSCOPE_THREADS={threads}: {summary}"
+        );
+        assert_eq!(
+            sha256_hex(&out.stdout),
+            "872ea876724b9538804ca10d196512f7aacab21aab200c2e803e542da743f4fb",
+            "BOTSCOPE_THREADS={threads}"
+        );
+    }
+    let _ = std::fs::remove_file(&file);
 }
