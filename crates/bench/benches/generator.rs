@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use botscope_core::Experiment;
-use botscope_simnet::scenario::{full_study, phase_study_table};
+use botscope_simnet::scenario::{full_study_table, phase_study_table};
 use botscope_simnet::SimConfig;
 
 fn bench_generator(c: &mut Criterion) {
@@ -12,10 +12,10 @@ fn bench_generator(c: &mut Criterion) {
     g.sample_size(10);
     for &scale in &[0.02f64, 0.05, 0.1] {
         let cfg = SimConfig { days: 10, scale, ..SimConfig::default() };
-        let n = full_study(&cfg).records.len() as u64;
+        let n = full_study_table(&cfg).table.len() as u64;
         g.throughput(Throughput::Elements(n));
         g.bench_with_input(BenchmarkId::new("full_study_10d", scale), &cfg, |b, cfg| {
-            b.iter(|| full_study(cfg));
+            b.iter(|| full_study_table(cfg));
         });
     }
     g.finish();

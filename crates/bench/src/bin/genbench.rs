@@ -1,8 +1,8 @@
 //! Wall-clock and memory harness for the traffic generator.
 //!
-//! Times `scenario::full_study` at a given horizon/scale and reports
-//! record count, throughput, peak RSS, and the estimated heap footprint
-//! of the generated dataset. Used to record the before/after numbers of
+//! Times `scenario::full_study_table` at a given horizon/scale and
+//! reports record count, throughput, peak RSS, and the estimated heap
+//! footprint of the generated table. Used to record the before/after numbers of
 //! data-model and parallelism changes in ROADMAP.md.
 //!
 //! ```text
@@ -11,9 +11,8 @@
 
 use std::time::Instant;
 
-use botscope_simnet::scenario::{full_study, full_study_table};
+use botscope_simnet::scenario::full_study_table;
 use botscope_simnet::{worker_threads, SimConfig};
-use botscope_weblog::table::records_heap_bytes;
 
 /// Peak resident set size of this process in kilobytes (Linux VmHWM).
 fn peak_rss_kb() -> Option<u64> {
@@ -40,7 +39,6 @@ fn main() {
     );
 
     for rep in 0..reps {
-        // Table-native path (the scalable representation).
         let t0 = Instant::now();
         let out = full_study_table(&cfg);
         let table_dt = t0.elapsed();
@@ -48,23 +46,12 @@ fn main() {
         let table_heap = out.table.heap_bytes();
         drop(out);
 
-        // Compatibility path: generate + materialize Vec<AccessRecord>.
-        let t0 = Instant::now();
-        let out = full_study(&cfg);
-        let records_dt = t0.elapsed();
-        let records_heap = records_heap_bytes(&out.records);
-        drop(out);
-
         println!(
             "rep={rep} records={n} \
-             table: wall_s={:.3} krec_per_s={:.0} heap_mb={:.1} | \
-             materialized: wall_s={:.3} krec_per_s={:.0} heap_mb={:.1} | peak_rss_mb={:.1}",
+             table: wall_s={:.3} krec_per_s={:.0} heap_mb={:.1} | peak_rss_mb={:.1}",
             table_dt.as_secs_f64(),
             n as f64 / table_dt.as_secs_f64() / 1e3,
             table_heap as f64 / 1e6,
-            records_dt.as_secs_f64(),
-            n as f64 / records_dt.as_secs_f64() / 1e3,
-            records_heap as f64 / 1e6,
             peak_rss_kb().unwrap_or(0) as f64 / 1e3,
         );
     }

@@ -17,7 +17,7 @@
 
 use botscope_core::report::FullStudyReport;
 use botscope_core::Experiment;
-use botscope_simnet::scenario::full_study;
+use botscope_simnet::scenario::full_study_table;
 use botscope_simnet::SimConfig;
 
 /// Read an env-var override.
@@ -49,9 +49,7 @@ pub fn phase_config() -> SimConfig {
 
 /// Generate the passive study and compute its report.
 pub fn full_report() -> FullStudyReport {
-    let cfg = full_config();
-    let out = full_study(&cfg);
-    FullStudyReport::new(&out.records)
+    FullStudyReport::from_table(&full_study_table(&full_config()).table)
 }
 
 /// Generate and analyze the phase study.

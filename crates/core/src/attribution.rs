@@ -33,7 +33,7 @@
 //! deterministic bot-name merge, exactly as
 //! [`Experiment::analyze_table`](crate::analyze::Experiment::analyze_table)
 //! does. Timelines are stepwise and log rows arrive in chronological
-//! order, so per-(bot, site) [`TimelineCursor`]s replace the per-row
+//! order, so per-(bot, site) `TimelineCursor`s replace the per-row
 //! binary searches with amortized-O(1) forward steps. The original
 //! serial binary-search code survives as
 //! [`attribute_table_reference`]/[`score_table_reference`], pinned

@@ -21,10 +21,10 @@
 //!   corroboration that the minority is an impostor.
 
 use botscope_stats::ci::{wilson, ProportionCi};
-use botscope_weblog::record::AccessRecord;
+use botscope_weblog::table::{LogTable, RecordRow};
 
-use crate::pipeline::StandardizedLogs;
-use crate::spoofdetect::{split_records, SpoofReport};
+use crate::pipeline::StandardizedTable;
+use crate::spoofdetect::{split_rows, SpoofReport};
 
 /// Whether a path is one of the always-disallowed trap paths.
 pub fn is_trap_path(path: &str) -> bool {
@@ -55,15 +55,20 @@ impl TrapRow {
     }
 }
 
+/// How many of `rows` hit a trap path.
+fn trap_hits(table: &LogTable, rows: &[&RecordRow]) -> u64 {
+    rows.iter().filter(|r| is_trap_path(table.resolve(r.uri_path))).count() as u64
+}
+
 /// Per-bot trap report, sorted by descending trap rate then name.
-pub fn trap_report(logs: &StandardizedLogs<'_>, min_accesses: u64) -> Vec<TrapRow> {
+pub fn trap_report(logs: &StandardizedTable<'_>, min_accesses: u64) -> Vec<TrapRow> {
     let mut rows: Vec<TrapRow> = logs
         .bots
         .values()
-        .filter(|v| v.records.len() as u64 >= min_accesses)
+        .filter(|v| v.rows.len() as u64 >= min_accesses)
         .map(|v| {
-            let total = v.records.len() as u64;
-            let trap_hits = v.records.iter().filter(|r| is_trap_path(&r.uri_path)).count() as u64;
+            let total = v.rows.len() as u64;
+            let trap_hits = trap_hits(logs.table, &v.rows);
             TrapRow {
                 bot: v.name.clone(),
                 trap_hits,
@@ -96,20 +101,18 @@ pub struct SpoofCorroboration {
 
 /// Run trap-based corroboration for every finding of the ASN heuristic.
 pub fn spoof_corroboration(
-    logs: &StandardizedLogs<'_>,
+    logs: &StandardizedTable<'_>,
     spoof: &SpoofReport,
 ) -> Vec<SpoofCorroboration> {
     let mut out = Vec::new();
     for finding in &spoof.findings {
         let Some(view) = logs.bots.get(&finding.bot) else { continue };
-        let (main, minority): (Vec<&AccessRecord>, Vec<&AccessRecord>) =
-            split_records(finding, &view.records);
-        let rate = |records: &[&AccessRecord]| {
-            if records.is_empty() {
+        let (main, minority) = split_rows(finding, logs.table, &view.rows);
+        let rate = |rows: &[&RecordRow]| {
+            if rows.is_empty() {
                 return 0.0;
             }
-            records.iter().filter(|r| is_trap_path(&r.uri_path)).count() as f64
-                / records.len() as f64
+            trap_hits(logs.table, rows) as f64 / rows.len() as f64
         };
         let main_rate = rate(&main);
         let minority_rate = rate(&minority);
@@ -125,7 +128,7 @@ pub fn spoof_corroboration(
 }
 
 /// Render both reports.
-pub fn render(logs: &StandardizedLogs<'_>, spoof: &SpoofReport) -> String {
+pub fn render(logs: &StandardizedTable<'_>, spoof: &SpoofReport) -> String {
     use crate::tables::{f, TextTable};
     let mut t = TextTable::new(
         "Extension: trap-path (honeypot) hits — fetching /404, /dev-404-page or /secure/* is always non-compliant",
@@ -164,8 +167,9 @@ pub fn render(logs: &StandardizedLogs<'_>, spoof: &SpoofReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::standardize;
-    use crate::spoofdetect::detect;
+    use crate::pipeline::standardize_table;
+    use crate::spoofdetect::detect_rows;
+    use botscope_weblog::record::AccessRecord;
     use botscope_weblog::time::Timestamp;
 
     fn rec(ua: &str, asn: &str, t: u64, path: &str) -> AccessRecord {
@@ -211,7 +215,8 @@ mod tests {
                 "/page",
             ));
         }
-        let logs = standardize(&records);
+        let table = LogTable::from_records(&records);
+        let logs = standardize_table(&table);
         let rows = trap_report(&logs, 10);
         assert_eq!(rows[0].bot, "Bytespider");
         assert_eq!(rows[0].trap_hits, 5);
@@ -226,7 +231,8 @@ mod tests {
     #[test]
     fn min_access_filter() {
         let records = vec![rec("Mozilla/5.0 (compatible; GPTBot/1.1)", "A", 0, "/x")];
-        let logs = standardize(&records);
+        let table = LogTable::from_records(&records);
+        let logs = standardize_table(&table);
         assert!(trap_report(&logs, 10).is_empty());
         assert_eq!(trap_report(&logs, 1).len(), 1);
     }
@@ -245,8 +251,9 @@ mod tests {
         }
         records.push(rec(ua, "M247", 98, "/page"));
         records.push(rec(ua, "M247", 99, "/page"));
-        let logs = standardize(&records);
-        let spoof = detect(&logs.per_bot_records());
+        let table = LogTable::from_records(&records);
+        let logs = standardize_table(&table);
+        let spoof = detect_rows(&table, &logs.per_bot_rows());
         let cs = spoof_corroboration(&logs, &spoof);
         let g = cs.iter().find(|c| c.bot == "Googlebot").expect("flagged");
         assert_eq!(g.main_trap_rate, 0.0);
@@ -264,8 +271,9 @@ mod tests {
         for t in 95..100 {
             records.push(rec(ua, "M247", t, "/page"));
         }
-        let logs = standardize(&records);
-        let spoof = detect(&logs.per_bot_records());
+        let table = LogTable::from_records(&records);
+        let logs = standardize_table(&table);
+        let spoof = detect_rows(&table, &logs.per_bot_rows());
         let cs = spoof_corroboration(&logs, &spoof);
         let g = cs.iter().find(|c| c.bot == "Googlebot").expect("flagged");
         assert!(!g.corroborated);
@@ -274,8 +282,9 @@ mod tests {
     #[test]
     fn render_smoke() {
         let records = vec![rec("Mozilla/5.0 (compatible; GPTBot/1.1)", "A", 0, "/x")];
-        let logs = standardize(&records);
-        let spoof = detect(&logs.per_bot_records());
+        let table = LogTable::from_records(&records);
+        let logs = standardize_table(&table);
+        let spoof = detect_rows(&table, &logs.per_bot_rows());
         let text = render(&logs, &spoof);
         assert!(text.contains("honeypot"));
         assert!(text.contains("Corroborated") || text.contains("corroboration"));

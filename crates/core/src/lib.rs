@@ -63,6 +63,5 @@ pub mod tables;
 pub use analyze::{Directive, Experiment};
 pub use attribution::{AttributionCounts, PolicyBasis, PolicyScore};
 pub use metrics::DirectiveCounts;
-pub use pipeline::BotView;
 pub use spoofdetect::SpoofReport;
 pub use stream::StreamAnalyzer;

@@ -8,92 +8,7 @@ use std::collections::BTreeMap;
 
 use botscope_useragent::{BotCategory, Standardizer};
 use botscope_weblog::intern::Sym;
-use botscope_weblog::record::AccessRecord;
 use botscope_weblog::table::{LogTable, RecordRow};
-
-/// A known bot's slice of the dataset.
-#[derive(Debug, Clone)]
-pub struct BotView<'a> {
-    /// Canonical name (registry spelling).
-    pub name: String,
-    /// Category.
-    pub category: BotCategory,
-    /// Whether the operator publicly promises to respect robots.txt.
-    pub promise: botscope_useragent::RobotsPromise,
-    /// Sponsoring entity.
-    pub sponsor: &'static str,
-    /// The bot's records, in input order.
-    pub records: Vec<&'a AccessRecord>,
-}
-
-/// The standardized dataset: known bots by name, plus everything that did
-/// not match the corpus.
-#[derive(Debug, Clone, Default)]
-pub struct StandardizedLogs<'a> {
-    /// Known-bot views, keyed by canonical name (deterministic order).
-    pub bots: BTreeMap<String, BotView<'a>>,
-    /// Records from agents that matched no known bot.
-    pub anonymous: Vec<&'a AccessRecord>,
-}
-
-impl<'a> StandardizedLogs<'a> {
-    /// Total records attributed to known bots.
-    pub fn known_bot_records(&self) -> usize {
-        self.bots.values().map(|v| v.records.len()).sum()
-    }
-
-    /// Per-bot record slices as the spoof detector expects them.
-    pub fn per_bot_records(&self) -> BTreeMap<String, Vec<&'a AccessRecord>> {
-        self.bots.iter().map(|(k, v)| (k.clone(), v.records.clone())).collect()
-    }
-
-    /// Bots in a category.
-    pub fn in_category(&self, category: BotCategory) -> Vec<&BotView<'a>> {
-        self.bots.values().filter(|v| v.category == category).collect()
-    }
-}
-
-/// Standardize a record set. Each distinct raw UA string is standardized
-/// once and the result cached, so cost is O(records + distinct_agents ×
-/// corpus).
-pub fn standardize<'a>(records: &'a [AccessRecord]) -> StandardizedLogs<'a> {
-    let standardizer = Standardizer::new();
-    let mut cache: BTreeMap<&str, Option<&'static botscope_useragent::BotSpec>> = BTreeMap::new();
-    let mut out = StandardizedLogs::default();
-
-    for r in records {
-        let spec = *cache
-            .entry(r.useragent.as_str())
-            .or_insert_with(|| standardizer.standardize(&r.useragent).map(|s| s.bot));
-        match spec {
-            Some(bot) => {
-                out.bots
-                    .entry(bot.canonical.to_string())
-                    .or_insert_with(|| BotView {
-                        name: bot.canonical.to_string(),
-                        category: bot.category,
-                        promise: bot.respects_robots,
-                        sponsor: bot.sponsor,
-                        records: Vec::new(),
-                    })
-                    .records
-                    .push(r);
-            }
-            None => out.anonymous.push(r),
-        }
-    }
-    out
-}
-
-/// Drop bots with fewer than `min` records (the paper filters bots "that
-/// accessed the site less than 5 times under any robots.txt version").
-pub fn filter_min_records<'a>(logs: &mut StandardizedLogs<'a>, min: usize) {
-    logs.bots.retain(|_, v| v.records.len() >= min);
-}
-
-// ---------------------------------------------------------------------
-// Row-native standardization (the interned hot path).
-// ---------------------------------------------------------------------
 
 /// A known bot's slice of a [`LogTable`].
 #[derive(Debug, Clone)]
@@ -214,8 +129,7 @@ pub fn standardize_table_with_threads(table: &LogTable, threads: usize) -> Stand
 
 /// Standardize a row subset of a table. Each distinct user-agent
 /// *symbol* is standardized once and cached in a dense array, so the
-/// per-row cost is one integer index — the interned equivalent of
-/// [`standardize`]'s string-keyed cache.
+/// per-row cost is one integer index.
 pub fn standardize_rows<'t>(
     table: &'t LogTable,
     rows: impl IntoIterator<Item = &'t RecordRow>,
@@ -306,6 +220,7 @@ fn view_for(bot: &'static botscope_useragent::BotSpec) -> BotRowView<'static> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use botscope_weblog::record::AccessRecord;
     use botscope_weblog::time::Timestamp;
 
     fn rec(ua: &str, t: u64) -> AccessRecord {
@@ -324,23 +239,26 @@ mod tests {
 
     #[test]
     fn known_bots_are_grouped() {
-        let records = vec![
+        let table = LogTable::from_records(&[
             rec("Mozilla/5.0 (compatible; GPTBot/1.1)", 0),
             rec("Mozilla/5.0 (compatible; GPTBot/1.2)", 1), // version variant
             rec("Mozilla/5.0 (compatible; bingbot/2.0)", 2),
             rec("Mozilla/5.0 (Windows NT 10.0) Chrome/120 Safari/537", 3),
-        ];
-        let logs = standardize(&records);
-        assert_eq!(logs.bots["GPTBot"].records.len(), 2, "UA variants merge");
-        assert_eq!(logs.bots["bingbot"].records.len(), 1);
+        ]);
+        let logs = standardize_table(&table);
+        assert_eq!(logs.bots["GPTBot"].rows.len(), 2, "UA variants merge");
+        assert_eq!(logs.bots["bingbot"].rows.len(), 1);
         assert_eq!(logs.anonymous.len(), 1);
         assert_eq!(logs.known_bot_records(), 3);
+        // Rows keep input order within a view.
+        let times: Vec<u64> = logs.bots["GPTBot"].rows.iter().map(|r| r.timestamp.unix()).collect();
+        assert_eq!(times, vec![0, 1]);
     }
 
     #[test]
     fn metadata_attached() {
-        let records = vec![rec("Bytespider; spider-feedback@bytedance.com", 0)];
-        let logs = standardize(&records);
+        let table = LogTable::from_records(&[rec("Bytespider; spider-feedback@bytedance.com", 0)]);
+        let logs = standardize_table(&table);
         let v = &logs.bots["Bytespider"];
         assert_eq!(v.category, BotCategory::AiDataScraper);
         assert_eq!(v.sponsor, "ByteDance");
@@ -348,58 +266,46 @@ mod tests {
     }
 
     #[test]
-    fn min_filter() {
-        let mut records = vec![rec("Mozilla/5.0 (compatible; GPTBot/1.1)", 0)];
-        for t in 0..5 {
-            records.push(rec("Mozilla/5.0 (compatible; bingbot/2.0)", t));
-        }
-        let mut logs = standardize(&records);
-        filter_min_records(&mut logs, 5);
-        assert!(!logs.bots.contains_key("GPTBot"));
-        assert!(logs.bots.contains_key("bingbot"));
-    }
-
-    #[test]
     fn category_query() {
-        let records = vec![
+        let table = LogTable::from_records(&[
             rec("Mozilla/5.0 (compatible; SemrushBot/7~bl)", 0),
             rec("Mozilla/5.0 (compatible; AhrefsBot/7.0)", 1),
-        ];
-        let logs = standardize(&records);
+        ]);
+        let logs = standardize_table(&table);
         assert_eq!(logs.in_category(BotCategory::SeoCrawler).len(), 2);
         assert!(logs.in_category(BotCategory::Archiver).is_empty());
     }
 
     #[test]
     fn empty_input() {
-        let logs = standardize(&[]);
+        let table = LogTable::new();
+        let logs = standardize_table(&table);
         assert!(logs.bots.is_empty());
         assert!(logs.anonymous.is_empty());
     }
 
     #[test]
-    fn table_standardization_matches_record_path() {
-        let records = vec![
+    fn row_subsets_and_worker_counts_agree() {
+        let table = LogTable::from_records(&[
             rec("Mozilla/5.0 (compatible; GPTBot/1.1)", 0),
             rec("Mozilla/5.0 (compatible; GPTBot/1.2)", 1),
             rec("Mozilla/5.0 (compatible; bingbot/2.0)", 2),
             rec("Mozilla/5.0 (Windows NT 10.0) Chrome/120 Safari/537", 3),
-        ];
-        let table = LogTable::from_records(&records);
-        let by_rows = standardize_table(&table);
-        let by_records = standardize(&records);
-        assert_eq!(by_rows.bots.len(), by_records.bots.len());
-        assert_eq!(by_rows.known_bot_records(), by_records.known_bot_records());
-        assert_eq!(by_rows.anonymous.len(), by_records.anonymous.len());
-        for (name, view) in &by_rows.bots {
-            let rec_view = &by_records.bots[name];
-            assert_eq!(view.category, rec_view.category);
-            assert_eq!(view.sponsor, rec_view.sponsor);
-            let materialized: Vec<AccessRecord> =
-                view.rows.iter().map(|r| table.materialize(r)).collect();
-            let expected: Vec<AccessRecord> = rec_view.records.iter().map(|&r| r.clone()).collect();
-            assert_eq!(materialized, expected);
+        ]);
+        let whole = standardize_table(&table);
+        let by_rows = standardize_rows(&table, table.rows());
+        let threaded = standardize_table_with_threads(&table, 2);
+        for other in [&by_rows, &threaded] {
+            assert_eq!(other.anonymous, whole.anonymous);
+            assert_eq!(other.per_bot_rows(), whole.per_bot_rows());
+            for (name, view) in &other.bots {
+                assert_eq!(view.category, whole.bots[name].category);
+                assert_eq!(view.sponsor, whole.bots[name].sponsor);
+            }
         }
-        assert_eq!(by_rows.in_category(BotCategory::AiDataScraper).len(), 1);
+        // A subset keeps only the bots its rows name.
+        let subset = standardize_rows(&table, &table.rows()[2..]);
+        assert_eq!(subset.bots.keys().collect::<Vec<_>>(), vec!["bingbot"]);
+        assert_eq!(subset.anonymous.len(), 1);
     }
 }

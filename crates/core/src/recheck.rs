@@ -15,12 +15,11 @@ use botscope_simnet::PolicyVersion;
 use botscope_stats::window::{window_coverage, PAPER_WINDOWS_HOURS};
 use botscope_useragent::BotCategory;
 use botscope_weblog::intern::{StringInterner, Sym};
-use botscope_weblog::record::AccessRecord;
 use botscope_weblog::sink::RowSink;
 use botscope_weblog::table::{LogTable, RecordRow};
 
 use crate::metrics::PathClasses;
-use crate::pipeline::{standardize_table, StandardizedLogs, StandardizedTable};
+use crate::pipeline::{standardize_table, StandardizedTable};
 
 /// Per-bot re-check profile.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,35 +55,9 @@ pub struct RecheckByCategory {
 ///
 /// `horizon_end` is the end of the dataset (unix secs); windows are
 /// anchored at each bot's first robots.txt fetch, per the paper.
-pub fn profiles(logs: &StandardizedLogs<'_>, horizon_end: u64) -> Vec<RecheckProfile> {
-    let mut out = Vec::new();
-    for view in logs.bots.values() {
-        let mut check_times: Vec<u64> = view
-            .records
-            .iter()
-            .filter(|r| r.is_robots_fetch())
-            .map(|r| r.timestamp.unix())
-            .collect();
-        check_times.sort_unstable();
-        let mut covered = BTreeMap::new();
-        for &h in &PAPER_WINDOWS_HOURS {
-            let ok = window_coverage(&check_times, h * 3600, horizon_end)
-                .is_some_and(|c| c.fully_covered());
-            covered.insert(h, ok);
-        }
-        out.push(RecheckProfile {
-            bot: view.name.clone(),
-            category: view.category,
-            check_times,
-            covered,
-        });
-    }
-    out
-}
-
-/// Row-native [`profiles`]: robots.txt fetches are recognized by path
-/// symbol, so the scan is string-free. Convenience wrapper over
-/// [`profiles_table_with`] that classifies the interner itself.
+/// robots.txt fetches are recognized by path symbol, so the scan is
+/// string-free. Convenience wrapper over [`profiles_table_with`] that
+/// classifies the interner itself.
 pub fn profiles_table(logs: &StandardizedTable<'_>, horizon_end: u64) -> Vec<RecheckProfile> {
     profiles_table_with(&PathClasses::new(logs.table), logs, horizon_end)
 }
@@ -152,11 +125,6 @@ pub fn by_category(profiles: &[RecheckProfile]) -> RecheckByCategory {
         }
     }
     out
-}
-
-/// Did `records` include a robots.txt fetch? (Table 7 per-phase column.)
-pub fn checked_robots(records: &[&AccessRecord]) -> bool {
-    records.iter().any(|r| r.is_robots_fetch())
 }
 
 /// Per-site policy deployment windows: site name →
@@ -484,7 +452,7 @@ impl RowSink for RecheckAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::standardize;
+    use botscope_weblog::record::AccessRecord;
     use botscope_weblog::time::Timestamp;
 
     fn rec(ua: &str, t: u64, path: &str) -> AccessRecord {
@@ -510,8 +478,7 @@ mod tests {
         for i in 0..36 {
             records.push(rec("Mozilla/5.0 (compatible; GPTBot/1.1)", i * 10 * H, "/robots.txt"));
         }
-        let logs = standardize(&records);
-        let ps = profiles(&logs, 360 * H);
+        let ps = profiles_from_table(&LogTable::from_records(&records), 360 * H);
         let gpt = ps.iter().find(|p| p.bot == "GPTBot").unwrap();
         assert!(gpt.ever_checked());
         for &h in &PAPER_WINDOWS_HOURS {
@@ -526,8 +493,7 @@ mod tests {
         for i in 0..10 {
             records.push(rec("Mozilla/5.0 (compatible; bingbot/2.0)", i * 100 * H, "/robots.txt"));
         }
-        let logs = standardize(&records);
-        let ps = profiles(&logs, 1000 * H);
+        let ps = profiles_from_table(&LogTable::from_records(&records), 1000 * H);
         let bing = ps.iter().find(|p| p.bot == "bingbot").unwrap();
         assert!(!bing.covered[&12]);
         assert!(!bing.covered[&24]);
@@ -541,8 +507,7 @@ mod tests {
             rec("axios/1.6.2", 10, "/b"),
             rec("Mozilla/5.0 (compatible; SemrushBot/7~bl)", 0, "/robots.txt"),
         ];
-        let logs = standardize(&records);
-        let ps = profiles(&logs, 100 * H);
+        let ps = profiles_from_table(&LogTable::from_records(&records), 100 * H);
         let axios = ps.iter().find(|p| p.bot == "Axios").unwrap();
         assert!(!axios.ever_checked());
         let agg = by_category(&ps);
@@ -569,8 +534,7 @@ mod tests {
             ));
         }
         records.push(rec("Mozilla/5.0 (compatible; AhrefsBot/7.0)", 0, "/robots.txt"));
-        let logs = standardize(&records);
-        let ps = profiles(&logs, 240 * H);
+        let ps = profiles_from_table(&LogTable::from_records(&records), 240 * H);
         let agg = by_category(&ps);
         assert_eq!(agg.checking_bots[&BotCategory::SeoCrawler], 2);
         for &h in &PAPER_WINDOWS_HOURS {
@@ -585,7 +549,6 @@ mod tests {
     #[test]
     fn phase_check_matrix_threads_site_windows() {
         use botscope_simnet::PolicyVersion as V;
-        use botscope_weblog::table::LogTable;
         // Site A deploys Base then v1; site B stays Base. GPTBot checks
         // A during v1 and B during Base; bingbot checks nothing inside
         // any window; axios never checks at all.
@@ -666,14 +629,5 @@ mod tests {
         // All-behavioral oracle: identity.
         let same = coalesce_behavioral_windows(&windows, |_, _| true);
         assert_eq!(same, windows);
-    }
-
-    #[test]
-    fn checked_robots_helper() {
-        let a = rec("x", 0, "/robots.txt");
-        let b = rec("x", 1, "/page");
-        assert!(checked_robots(&[&a, &b]));
-        assert!(!checked_robots(&[&b]));
-        assert!(!checked_robots(&[]));
     }
 }

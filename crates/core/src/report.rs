@@ -4,7 +4,7 @@
 //!
 //! * [`FullStudyReport`] — computed over the 46-day passive dataset
 //!   (paper §3, §5): Tables 2/3/8, Figures 2/3/4/10;
-//! * the [`Experiment`](crate::analyze::Experiment) renderers — Tables
+//! * the [`Experiment`] renderers — Tables
 //!   4/5/6/7/9/10 and Figures 9/11.
 //!
 //! Renderers return plain text; the bench binaries print them, and
@@ -14,7 +14,6 @@ use std::collections::BTreeMap;
 
 use botscope_stats::ecdf::TimeSeriesCdf;
 use botscope_useragent::BotCategory;
-use botscope_weblog::record::AccessRecord;
 use botscope_weblog::session::{Session, SESSION_GAP_SECS};
 use botscope_weblog::summary::DatasetSummary;
 use botscope_weblog::table::{LogTable, RecordRow};
@@ -66,13 +65,7 @@ pub struct FullStudyReport {
 }
 
 impl FullStudyReport {
-    /// Compute all aggregates from a record set (thin adapter over
-    /// [`FullStudyReport::from_table`]).
-    pub fn new(records: &[AccessRecord]) -> FullStudyReport {
-        FullStudyReport::from_table(&LogTable::from_records(records))
-    }
-
-    /// Compute all aggregates from an interned table — the native path.
+    /// Compute all aggregates from an interned table.
     pub fn from_table(table: &LogTable) -> FullStudyReport {
         let logs = standardize_table(table);
         let all = DatasetSummary::compute_table(table);
@@ -583,13 +576,12 @@ pub fn policies() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use botscope_simnet::scenario::full_study;
+    use botscope_simnet::scenario::full_study_table;
     use botscope_simnet::SimConfig;
 
     fn small_full_study() -> FullStudyReport {
         let cfg = SimConfig { days: 5, scale: 0.05, sites: 6, ..SimConfig::default() };
-        let out = full_study(&cfg);
-        FullStudyReport::new(&out.records)
+        FullStudyReport::from_table(&full_study_table(&cfg).table)
     }
 
     #[test]

@@ -287,7 +287,8 @@ mod tests {
         assert!(out
             .sim
             .table
-            .iter_records()
+            .to_records()
+            .iter()
             .any(|r| r.useragent.contains("GPTBot") && r.is_robots_fetch()));
     }
 

@@ -909,7 +909,7 @@ mod tests {
         let out = run(&cfg);
         assert!(!out.table.is_empty());
         let start = cfg.start.unix();
-        for record in out.table.iter_records() {
+        for record in out.table.to_records() {
             assert!(record.is_robots_fetch());
             assert!(record.timestamp.unix() >= start);
             assert!(record.timestamp.unix() < out.horizon_end);
@@ -1009,13 +1009,13 @@ mod tests {
         assert!(out.stats.redirects_followed > 0);
         assert!(out.stats.redirects_capped > 0, "some scripted chains exceed five hops");
         // Capped chains resolve to "unavailable", logged with their 3xx.
-        assert!(out.table.iter_records().any(|r| r.status == 301));
+        assert!(out.table.rows().iter().any(|r| r.status == 301));
         // Within-budget chains revalidate at the final hop: unchanged
         // bodies behind 3xx come back 304 with the transfer elided, so
         // bytes-saved accounting covers CDN-fronted sites too.
         assert!(out.stats.revalidated > 0, "{:?}", out.stats);
         assert!(out.stats.revalidated_bytes_saved > 0, "{:?}", out.stats);
-        let saw_304 = out.table.iter_records().any(|r| r.status == 304 && r.bytes == 0);
+        let saw_304 = out.table.rows().iter().any(|r| r.status == 304 && r.bytes == 0);
         assert!(saw_304, "304s behind chains reach the log");
     }
 
@@ -1116,7 +1116,7 @@ mod tests {
             botscope_simnet::server::PolicyCorpus::new().text(PolicyVersion::Base).len() as u64;
         assert_eq!(s.revalidated_bytes_saved, s.revalidated * base_len, "{s:?}");
         // The 304s are visible in the fetch log.
-        assert!(out.table.iter_records().any(|r| r.status == 304 && r.bytes == 0));
+        assert!(out.table.rows().iter().any(|r| r.status == 304 && r.bytes == 0));
     }
 
     #[test]

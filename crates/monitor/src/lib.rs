@@ -63,7 +63,7 @@
 //! };
 //! let out = run(&cfg);
 //! assert!(out.table.len() as u64 == out.stats.fetches);
-//! assert!(out.table.iter_records().all(|r| r.is_robots_fetch()));
+//! assert!(out.table.rows().iter().all(|r| out.table.is_robots_fetch(r)));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -2,8 +2,8 @@
 //! first-class citizens of the §5.1 re-check analysis, and the daemon
 //! must be byte-deterministic across worker counts at estate scale.
 
-use botscope_core::pipeline::standardize;
-use botscope_core::recheck::{by_category, profiles, profiles_from_table};
+use botscope_core::pipeline::standardize_table;
+use botscope_core::recheck::{by_category, profiles_from_table, profiles_table};
 use botscope_monitor::daemon::{run, run_with_threads, MonitorConfig, TtlPolicy};
 use botscope_monitor::scenario::ScenarioKind;
 use botscope_weblog::codec;
@@ -29,11 +29,12 @@ fn monitor_profiles_match_equivalent_weblog_rows() {
     // The monitor path: profiles straight from the interned fetch table.
     let from_monitor = profiles_from_table(&out.table, out.horizon_end);
 
-    // The weblog path: the same events materialized as ordinary access
-    // records and pushed through the record-slice pipeline.
-    let records = out.table.to_records();
-    let logs = standardize(&records);
-    let from_weblog = profiles(&logs, out.horizon_end);
+    // The weblog path: the same events written as an ordinary access
+    // log, decoded back into a fresh table (new symbol ids) and pushed
+    // through the standardize → profiles pipeline.
+    let reloaded = codec::decode_table_read(&encode(&out.table)[..]).expect("own CSV decodes");
+    let logs = standardize_table(&reloaded);
+    let from_weblog = profiles_table(&logs, out.horizon_end);
 
     assert_eq!(from_monitor, from_weblog);
     // And the Figure 10 aggregation agrees too.

@@ -30,7 +30,6 @@ use botscope_asn::ip_for;
 use botscope_weblog::colfmt;
 use botscope_weblog::intern::{StringInterner, Sym};
 use botscope_weblog::iphash::IpHasher;
-use botscope_weblog::record::AccessRecord;
 use botscope_weblog::sink::RowSink;
 use botscope_weblog::table::{LogTable, RecordRow};
 use botscope_weblog::time::Timestamp;
@@ -56,16 +55,7 @@ pub struct GroundTruth {
     pub spoofed_requests: BTreeMap<String, u64>,
 }
 
-/// The generator's output, materialized for record-slice consumers.
-#[derive(Debug, Clone, Default)]
-pub struct SimOutput {
-    /// All access records, time-sorted.
-    pub records: Vec<AccessRecord>,
-    /// What was planted.
-    pub truth: GroundTruth,
-}
-
-/// The generator's native output: the interned table.
+/// The generator's output: the interned table.
 #[derive(Debug, Clone, Default)]
 pub struct SimTableOutput {
     /// All access rows, time-sorted, with their interner.
@@ -335,15 +325,9 @@ impl ShardWriter {
     }
 }
 
-/// Run the generator for the given config and robots.txt schedule,
-/// materializing `Vec<AccessRecord>` output (compatibility path).
-pub fn simulate(cfg: &SimConfig, schedule: &PhaseSchedule) -> SimOutput {
-    let out = simulate_table(cfg, schedule);
-    SimOutput { records: out.table.to_records(), truth: out.truth }
-}
-
-/// Run the generator into a [`LogTable`], sharding generation units over
-/// [`worker_threads`] scoped workers.
+/// Run the generator for the given config and robots.txt schedule into
+/// a [`LogTable`], sharding generation units over [`worker_threads`]
+/// scoped workers.
 pub fn simulate_table(cfg: &SimConfig, schedule: &PhaseSchedule) -> SimTableOutput {
     simulate_table_with_threads(cfg, schedule, worker_threads())
 }
@@ -907,6 +891,17 @@ mod tests {
         PhaseSchedule::always_base(EXPERIMENT_SITE, cfg.start, cfg.end())
     }
 
+    /// The generator's output, with the table viewed as records.
+    struct Records {
+        records: Vec<botscope_weblog::record::AccessRecord>,
+        truth: GroundTruth,
+    }
+
+    fn simulate(cfg: &SimConfig, schedule: &PhaseSchedule) -> Records {
+        let out = simulate_table(cfg, schedule);
+        Records { records: out.table.to_records(), truth: out.truth }
+    }
+
     #[test]
     fn deterministic_output() {
         let cfg = small_cfg();
@@ -943,18 +938,25 @@ mod tests {
     }
 
     #[test]
-    fn table_and_record_paths_agree() {
+    fn table_undercuts_materialized_records() {
         let cfg = small_cfg();
-        let schedule = base_schedule(&cfg);
-        let records = simulate(&cfg, &schedule).records;
-        let table = simulate_table(&cfg, &schedule).table;
-        assert_eq!(table.to_records(), records);
-        // The interned representation is the compact one.
+        let table = simulate_table(&cfg, &base_schedule(&cfg)).table;
+        let records = table.to_records();
+        let records_heap: usize = records
+            .iter()
+            .map(|r| {
+                std::mem::size_of_val(r)
+                    + r.useragent.capacity()
+                    + r.asn.capacity()
+                    + r.sitename.capacity()
+                    + r.uri_path.capacity()
+                    + r.referer.as_ref().map_or(0, String::capacity)
+            })
+            .sum();
         assert!(
-            table.heap_bytes() < botscope_weblog::table::records_heap_bytes(&records),
-            "table {}B should undercut records {}B",
-            table.heap_bytes(),
-            botscope_weblog::table::records_heap_bytes(&records)
+            table.heap_bytes() < records_heap,
+            "table {}B should undercut records {records_heap}B",
+            table.heap_bytes()
         );
     }
 

@@ -1,12 +1,11 @@
 //! Parallel-generation determinism: for a fixed seed, the sharded
 //! generator must produce byte-identical output at any worker count,
-//! and the table path must agree with the materialized compatibility
-//! path record for record.
+//! whether it materializes a table or streams rows into sinks.
 
 use botscope_simnet::engine::{
-    simulate, simulate_stream_with_threads, simulate_table_with_threads, StreamOptions,
+    simulate_stream_with_threads, simulate_table, simulate_table_with_threads, StreamOptions,
 };
-use botscope_simnet::scenario::{full_study, full_study_stream, full_study_table};
+use botscope_simnet::scenario::{full_study_stream, full_study_table};
 use botscope_simnet::{PhaseSchedule, SimConfig};
 use botscope_weblog::codec;
 use botscope_weblog::colfmt::{read_table, BinSink};
@@ -38,12 +37,13 @@ fn full_study_byte_identical_across_worker_counts() {
 }
 
 #[test]
-fn table_path_matches_materialized_path() {
+fn default_worker_count_matches_explicit_worker_counts() {
     let cfg = cfg_with_seed(7);
     let schedule = PhaseSchedule::always_base(0, cfg.start, cfg.end());
-    let records = simulate(&cfg, &schedule).records;
-    let table = simulate_table_with_threads(&cfg, &schedule, 4).table;
-    assert_eq!(table.to_records(), records);
+    let default = simulate_table(&cfg, &schedule).table;
+    let four = simulate_table_with_threads(&cfg, &schedule, 4).table;
+    assert_eq!(default.rows(), four.rows());
+    assert_eq!(default.to_records(), four.to_records());
 }
 
 #[test]
@@ -97,10 +97,11 @@ fn full_study_stream_matches_full_study_table() {
 }
 
 #[test]
-fn scenario_table_and_record_outputs_agree() {
+fn full_study_table_is_the_base_schedule_run() {
     let cfg = cfg_with_seed(11);
-    let by_records = full_study(&cfg);
-    let by_table = full_study_table(&cfg);
-    assert_eq!(by_table.table.to_records(), by_records.records);
-    assert_eq!(by_table.truth.exempt, by_records.truth.exempt);
+    let schedule = PhaseSchedule::always_base(0, cfg.start, cfg.end());
+    let by_scenario = full_study_table(&cfg);
+    let by_engine = simulate_table_with_threads(&cfg, &schedule, 2);
+    assert_eq!(by_scenario.table.to_records(), by_engine.table.to_records());
+    assert_eq!(by_scenario.truth.exempt, by_engine.truth.exempt);
 }

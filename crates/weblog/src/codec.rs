@@ -73,11 +73,6 @@ pub fn encode_row(interner: &StringInterner, row: &RecordRow, out: &mut String) 
     quote(row.referer.map_or("", |s| interner.resolve(s)), out);
 }
 
-/// Encode a full dataset with header.
-pub fn encode(records: &[AccessRecord]) -> String {
-    encode_table(&LogTable::from_records(records))
-}
-
 /// Split one CSV line into fields honouring RFC 4180 quoting.
 fn split_csv_line(line: &str) -> Result<Vec<String>, String> {
     let mut fields = Vec::new();
@@ -142,96 +137,18 @@ pub fn decode_record(line: &str, line_no: usize) -> Result<AccessRecord, DecodeE
     })
 }
 
-/// Decode a full CSV document (header required).
-pub fn decode(text: &str) -> Result<Vec<AccessRecord>, DecodeError> {
-    let mut lines = text.lines().enumerate();
-    match lines.next() {
-        Some((_, h)) if h == HEADER => {}
-        Some((_, h)) => {
-            return Err(DecodeError { line: 1, message: format!("unexpected header {h:?}") })
-        }
-        None => return Ok(Vec::new()),
-    }
-    let mut out = Vec::new();
-    for (idx, line) in lines {
-        if line.is_empty() {
-            continue;
-        }
-        out.push(decode_record(line, idx + 1)?);
-    }
-    Ok(out)
-}
-
-/// Streaming decoder state: see [`decode_stream`].
-#[derive(Debug)]
-pub struct DecodeStream<'a> {
-    lines: std::iter::Enumerate<std::str::Lines<'a>>,
-    header_checked: bool,
-    done: bool,
-}
-
-impl Iterator for DecodeStream<'_> {
-    type Item = Result<AccessRecord, DecodeError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        if !self.header_checked {
-            self.header_checked = true;
-            match self.lines.next() {
-                Some((_, h)) if h == HEADER => {}
-                Some((_, h)) => {
-                    self.done = true;
-                    return Some(Err(DecodeError {
-                        line: 1,
-                        message: format!("unexpected header {h:?}"),
-                    }));
-                }
-                None => {
-                    self.done = true;
-                    return None;
-                }
-            }
-        }
-        for (idx, line) in self.lines.by_ref() {
-            if line.is_empty() {
-                continue;
-            }
-            let result = decode_record(line, idx + 1);
-            if result.is_err() {
-                self.done = true;
-            }
-            return Some(result);
-        }
-        self.done = true;
-        None
-    }
-}
-
-/// Decode a CSV document line by line, yielding one record (or the
-/// first error) at a time without materializing the whole dataset.
-/// Consuming the iterator to the first error is exactly equivalent to
-/// [`decode`]; the stream fuses after an error.
-pub fn decode_stream(text: &str) -> DecodeStream<'_> {
-    DecodeStream { lines: text.lines().enumerate(), header_checked: false, done: false }
-}
-
-/// Decode a full CSV document directly into a [`LogTable`], interning
-/// strings as rows stream in. Equivalent to
-/// `LogTable::from_records(&decode(text)?)` without the intermediate
-/// record vector.
+/// Decode a full CSV document (header required) into a [`LogTable`]:
+/// [`decode_table_read`] over the text's bytes.
 pub fn decode_table(text: &str) -> Result<LogTable, DecodeError> {
-    let mut table = LogTable::new();
-    for result in decode_stream(text) {
-        table.push_record(&result?);
-    }
-    Ok(table)
+    decode_table_read(text.as_bytes())
 }
 
 /// Decode from a buffered reader into a [`LogTable`], one line at a
-/// time — the path for logs too large to hold as text. I/O errors are
-/// reported as [`DecodeError`]s carrying the failing line number.
+/// time, interning strings as rows stream in. The header is required
+/// (empty input is an empty table), empty lines are skipped, and
+/// decoding stops at the first malformed line. Errors, I/O failures
+/// included, carry the failing 1-based line number (the header is
+/// line 1).
 pub fn decode_table_read<R: BufRead>(mut reader: R) -> Result<LogTable, DecodeError> {
     let mut table = LogTable::new();
     let mut buf = String::new();
@@ -307,6 +224,16 @@ mod tests {
         }
     }
 
+    /// `records` encoded through a table.
+    fn encode(records: &[AccessRecord]) -> String {
+        encode_table(&LogTable::from_records(records))
+    }
+
+    /// `text` decoded into a table, viewed as records.
+    fn decode(text: &str) -> Result<Vec<AccessRecord>, DecodeError> {
+        decode_table(text).map(|table| table.to_records())
+    }
+
     #[test]
     fn roundtrip_simple() {
         let records = vec![sample("GPTBot/1.0", "/a"), sample("bingbot/2.0", "/b")];
@@ -367,32 +294,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_matches_decode_on_valid_input() {
-        let records = vec![sample("GPTBot/1.0", "/a"), sample("bingbot/2.0", "/b")];
-        let text = encode(&records);
-        let streamed: Vec<AccessRecord> =
-            decode_stream(&text).collect::<Result<_, _>>().expect("valid input");
-        assert_eq!(streamed, records);
-    }
-
-    #[test]
-    fn stream_yields_error_then_fuses() {
-        let text = format!("{HEADER}\nonly,three,fields\n");
-        let mut stream = decode_stream(&text);
-        assert!(stream.next().unwrap().is_err());
-        assert!(stream.next().is_none());
-        assert!(stream.next().is_none());
-    }
-
-    #[test]
-    fn stream_rejects_bad_header_like_decode() {
-        let e = decode_stream("nope\n").next().unwrap().unwrap_err();
-        assert_eq!(e, decode("nope\n").unwrap_err());
-        assert!(decode_stream("").next().is_none());
-    }
-
-    #[test]
-    fn table_roundtrip_matches_record_roundtrip() {
+    fn table_roundtrip_is_byte_identical() {
         let mut r = sample("Mozilla/5.0 (compatible; X, \"q\"; +http://x)", "/q");
         r.referer = Some("https://ref.example/with,comma".into());
         let records = vec![r, sample("GPTBot/1.0", "/a")];
@@ -403,28 +305,21 @@ mod tests {
     }
 
     #[test]
-    fn table_reader_path_matches_in_memory_path() {
+    fn line_terminators_match_str_lines() {
         let records = vec![sample("a", "/x"), sample("b", "/y")];
         let text = encode(&records);
-        let table = decode_table_read(text.as_bytes()).expect("valid input");
-        assert_eq!(table.to_records(), records);
         // CRLF terminators are stripped like str::lines does…
         let crlf = text.replace('\n', "\r\n");
-        assert_eq!(decode_table_read(crlf.as_bytes()).unwrap().to_records(), records);
+        assert_eq!(decode(&crlf).unwrap(), records);
         // …but only ONE terminator: an unquoted field ending in '\r'
         // before the '\r\n' keeps that '\r' as content, exactly as
-        // str::lines-based decode sees it.
+        // str::lines sees it.
         let tricky = format!("{HEADER}\nua,2025-02-12T00:00:00Z,0,GOOGLE,site,/a,200,10,ref\r\r\n");
-        let by_str = decode(&tricky).unwrap();
-        assert_eq!(by_str[0].referer.as_deref(), Some("ref\r"));
-        assert_eq!(decode_table_read(tricky.as_bytes()).unwrap().to_records(), by_str);
+        assert_eq!(decode(&tricky).unwrap()[0].referer.as_deref(), Some("ref\r"));
         // A bare trailing '\r' on an unterminated final line is content.
         let bare = format!("{HEADER}\nua,2025-02-12T00:00:00Z,0,GOOGLE,site,/a,200,10,ref\r");
-        assert_eq!(
-            decode_table_read(bare.as_bytes()).unwrap().to_records(),
-            decode(&bare).unwrap()
-        );
-        // Errors carry the line number, as in decode.
+        assert_eq!(decode(&bare).unwrap()[0].referer.as_deref(), Some("ref\r"));
+        // Errors carry the 1-based line number.
         let bad = format!("{HEADER}\nonly,three,fields\n");
         let e = decode_table_read(bad.as_bytes()).unwrap_err();
         assert_eq!(e.line, 2);

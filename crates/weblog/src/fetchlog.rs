@@ -4,12 +4,10 @@
 //! the monitoring daemon's per-(bot, site) agents emit one row per
 //! attempt, carrying the redirect-resolved HTTP status (`0` denotes a
 //! transport-level failure that never produced a status) and the body
-//! size. The schema is deliberately identical to [`AccessRecord`] rows —
-//! the path is always `/robots.txt` — so every existing consumer (the
-//! §5.1 re-check profiles, the grouping views, the CSV/JSONL codecs)
+//! size. The rows are ordinary [`RecordRow`]s of a [`LogTable`] — the
+//! path is always `/robots.txt` — so every table consumer (the §5.1
+//! re-check profiles, the grouping views, the CSV/JSONL/binary writers)
 //! reads monitor logs unchanged.
-//!
-//! [`AccessRecord`]: crate::record::AccessRecord
 
 use crate::intern::Sym;
 use crate::table::{LogTable, RecordRow};

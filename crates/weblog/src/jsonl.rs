@@ -9,7 +9,6 @@ use std::fmt::Write as _;
 use std::io::{self, Write};
 
 use crate::intern::StringInterner;
-use crate::record::AccessRecord;
 use crate::table::{LogTable, RecordRow};
 
 /// Escape a string per RFC 8259 §7 into `out` (with surrounding quotes).
@@ -69,16 +68,10 @@ pub fn write_table<W: Write>(w: &mut W, table: &LogTable) -> io::Result<()> {
     Ok(())
 }
 
-/// Encode a dataset: one JSON object per line.
-pub fn encode(records: &[AccessRecord]) -> String {
-    let mut out = Vec::with_capacity(records.len() * 192);
-    write_table(&mut out, &LogTable::from_records(records)).expect("writing to a Vec cannot fail");
-    String::from_utf8(out).expect("encoded JSON is UTF-8")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::AccessRecord;
     use crate::time::Timestamp;
 
     fn sample() -> AccessRecord {
@@ -93,6 +86,13 @@ mod tests {
             bytes: 1234,
             referer: None,
         }
+    }
+
+    /// `records` as JSON lines, written through a table.
+    fn encode(records: &[AccessRecord]) -> String {
+        let mut out = Vec::new();
+        write_table(&mut out, &LogTable::from_records(records)).expect("writing to a Vec");
+        String::from_utf8(out).expect("encoded JSON is UTF-8")
     }
 
     /// One record's JSON object, without the line terminator.

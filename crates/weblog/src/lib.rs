@@ -10,17 +10,19 @@
 //! * [`iphash`] — keyed SipHash-2-4, implemented in-crate, providing the
 //!   study's "one-way cryptographic hash of the web visitor's IP address",
 //! * [`record`] — the ten-field access record (useragent, timestamp, IP
-//!   hash, ASN, sitename, URI path, status, bytes, referer),
-//! * [`intern`] / [`table`] — the interned data model: [`StringInterner`]
-//!   maps repeated strings to 4-byte [`Sym`] ids and [`LogTable`] stores
-//!   compact 48-byte rows, materializing [`AccessRecord`] views on
-//!   demand (the memory-scalable representation at paper volume); the
-//!   table also serves the groupings the compliance metrics need
-//!   ([`LogTable::by_tau`], [`LogTable::by_useragent`],
-//!   [`LogTable::robots_checks_by_useragent`]),
-//! * [`codec`] — a CSV reader/writer for record persistence, including a
-//!   streaming [`codec::decode_stream`] / [`codec::decode_table_read`]
-//!   path for logs too large to hold in memory,
+//!   hash, ASN, sitename, URI path, status, bytes, referer): the
+//!   decode/display view of one row,
+//! * [`intern`] / [`table`] — the interned data model every compute path
+//!   runs on: [`StringInterner`] maps repeated strings to 4-byte [`Sym`]
+//!   ids and [`LogTable`] stores compact 48-byte rows, materializing
+//!   [`AccessRecord`] views on demand (the memory-scalable
+//!   representation at paper volume); the table also serves the
+//!   groupings the compliance metrics need ([`LogTable::by_tau`],
+//!   [`LogTable::by_useragent`], [`LogTable::robots_checks_by_useragent`])
+//!   and sessionization ([`LogTable::sessionize`]),
+//! * [`codec`] — a CSV reader/writer for tables; [`codec::decode_table_read`]
+//!   decodes line by line from any reader, for logs too large to hold
+//!   as text,
 //! * [`colfmt`] — a compact binary on-disk format (string dictionary
 //!   pages + fixed-width symbol rows, versioned header): the same data
 //!   model as [`LogTable`], persisted; decodes with bounded memory and
@@ -34,14 +36,14 @@
 //! * [`merge`] — the shared serial k-way merge of canonically sorted
 //!   runs ([`merge::merge_runs`]) into one dictionary, byte-identical to
 //!   materialize-then-sort,
-//! * [`session`] — 5-minute-gap sessionization (paper §3.2),
-//! * [`filter`] — the study's preprocessing filters (scanner removal,
-//!   date-range restriction),
+//! * [`session`] — the session type and the paper's 5-minute gap
+//!   (paper §3.2),
 //! * [`summary`] — dataset overview statistics (paper Table 2).
 //!
 //! ```
 //! use botscope_weblog::record::AccessRecord;
-//! use botscope_weblog::session::{sessionize, SESSION_GAP_SECS};
+//! use botscope_weblog::session::SESSION_GAP_SECS;
+//! use botscope_weblog::table::LogTable;
 //! use botscope_weblog::time::Timestamp;
 //!
 //! let mk = |t: u64, path: &str| AccessRecord {
@@ -56,8 +58,9 @@
 //!     referer: None,
 //! };
 //! // Three accesses within the gap, one far later: two sessions.
-//! let records = vec![mk(0, "/a"), mk(100, "/b"), mk(200, "/c"), mk(10_000, "/d")];
-//! let sessions = sessionize(&records, SESSION_GAP_SECS);
+//! let records = [mk(0, "/a"), mk(100, "/b"), mk(200, "/c"), mk(10_000, "/d")];
+//! let table = LogTable::from_records(&records);
+//! let sessions = table.sessionize(SESSION_GAP_SECS);
 //! assert_eq!(sessions.len(), 2);
 //! assert_eq!(sessions[0].accesses, 3);
 //! ```
@@ -68,7 +71,6 @@
 pub mod codec;
 pub mod colfmt;
 pub mod fetchlog;
-pub mod filter;
 pub mod intern;
 pub mod iphash;
 pub mod jsonl;
@@ -86,7 +88,7 @@ pub use intern::{StringInterner, Sym};
 pub use iphash::IpHasher;
 pub use merge::{merge_runs, MergeRun};
 pub use record::AccessRecord;
-pub use session::{sessionize, Session, SESSION_GAP_SECS};
+pub use session::{Session, SESSION_GAP_SECS};
 pub use stream::RowStream;
 pub use summary::DatasetSummary;
 pub use table::{LogTable, RecordRow};

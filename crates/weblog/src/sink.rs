@@ -7,7 +7,7 @@
 //! bounding memory to the producer's working set rather than the whole
 //! dataset. Rows stay interned the whole way: a sink resolves the
 //! strings it needs from the stream's dictionary and never builds an
-//! owned [`crate::record::AccessRecord`].
+//! owned record.
 //!
 //! [`CsvSink`] shares its row encoder with [`crate::codec::write_table`],
 //! and [`JsonlSink`] with [`crate::jsonl::write_table`], so streaming and
@@ -227,16 +227,19 @@ pub(crate) mod tests {
         let table = sorted_dictionary(&records);
         let mut sink = CsvSink::new(Vec::new()).unwrap();
         feed(&mut sink, &table);
-        assert_eq!(sink.into_inner(), codec::encode(&records).into_bytes());
+        let expected = codec::encode_table(&LogTable::from_records(&records));
+        assert_eq!(sink.into_inner(), expected.into_bytes());
     }
 
     #[test]
-    fn jsonl_sink_matches_encode() {
+    fn jsonl_sink_matches_write_table() {
         let records: Vec<AccessRecord> = (0..3).map(sample).collect();
         let table = sorted_dictionary(&records);
         let mut sink = JsonlSink::new(Vec::new());
         feed(&mut sink, &table);
-        assert_eq!(sink.into_inner(), jsonl::encode(&records).into_bytes());
+        let mut expected = Vec::new();
+        jsonl::write_table(&mut expected, &LogTable::from_records(&records)).unwrap();
+        assert_eq!(sink.into_inner(), expected);
     }
 
     #[test]

@@ -50,7 +50,7 @@ impl<R: BufRead> CsvRowStream<R> {
             .read_line(&mut buf)
             .map_err(|e| DecodeError { line: 1, message: format!("read failed: {e}") })?;
         let done = if n == 0 {
-            true // empty input is an empty dataset, like codec::decode
+            true // empty input is an empty dataset, like codec::decode_table_read
         } else {
             let line = strip_terminator(&buf);
             if line != codec::HEADER {
@@ -209,7 +209,7 @@ mod tests {
     #[test]
     fn csv_stream_matches_decode() {
         let records: Vec<AccessRecord> = (0..7).map(sample).collect();
-        let text = codec::encode(&records);
+        let text = codec::encode_table(&LogTable::from_records(&records));
         let mut s = CsvRowStream::new(text.as_bytes()).unwrap();
         assert_eq!(drain(&mut s), records);
         assert!(s.next_row().is_none());

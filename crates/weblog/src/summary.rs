@@ -7,9 +7,9 @@
 
 use std::collections::{HashMap, HashSet};
 
-use crate::record::AccessRecord;
-use crate::session::{sessionize, SESSION_GAP_SECS};
-use crate::table::LogTable;
+use crate::intern::Sym;
+use crate::session::SESSION_GAP_SECS;
+use crate::table::{LogTable, RecordRow};
 
 /// The Table 2 row.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,49 +34,15 @@ pub struct DatasetSummary {
 }
 
 impl DatasetSummary {
-    /// Compute the summary over a record set using the paper's 5-minute
-    /// session gap.
-    pub fn compute(records: &[AccessRecord]) -> DatasetSummary {
-        Self::compute_with_gap(records, SESSION_GAP_SECS)
-    }
-
-    /// Compute with a custom session gap (used by the ablation bench).
-    pub fn compute_with_gap(records: &[AccessRecord], gap_secs: u64) -> DatasetSummary {
-        let mut ips: HashSet<u64> = HashSet::new();
-        let mut uas: HashSet<&str> = HashSet::new();
-        let mut asns: HashSet<&str> = HashSet::new();
-        let mut urls: HashSet<(&str, &str)> = HashSet::new();
-        let mut total_bytes = 0u64;
-        for r in records {
-            ips.insert(r.ip_hash);
-            uas.insert(&r.useragent);
-            asns.insert(&r.asn);
-            urls.insert((&r.sitename, &r.uri_path));
-            total_bytes += r.bytes;
-        }
-        let sessions = sessionize(records, gap_secs);
-        let avg =
-            if sessions.is_empty() { 0.0 } else { total_bytes as f64 / sessions.len() as f64 };
-        DatasetSummary {
-            unique_ips: ips.len(),
-            unique_user_agents: uas.len(),
-            avg_bytes_per_session: avg,
-            unique_asns: asns.len(),
-            total_bytes,
-            total_page_visits: sessions.len(),
-            unique_page_visits: urls.len(),
-            raw_records: records.len(),
-        }
-    }
-
-    /// Row-native equivalent of [`DatasetSummary::compute`]: all unique
-    /// counts are taken over interned symbols, and sessions are counted
-    /// without materializing them.
+    /// Compute the summary over a table using the paper's 5-minute
+    /// session gap. All unique counts are taken over interned symbols,
+    /// and sessions are counted without materializing them.
     pub fn compute_table(table: &LogTable) -> DatasetSummary {
         Self::compute_table_with_gap(table, SESSION_GAP_SECS)
     }
 
-    /// [`DatasetSummary::compute_table`] with a custom session gap.
+    /// [`DatasetSummary::compute_table`] with a custom session gap (used
+    /// by the ablation bench).
     pub fn compute_table_with_gap(table: &LogTable, gap_secs: u64) -> DatasetSummary {
         Self::compute_rows_with_gap(table.rows().iter(), gap_secs)
     }
@@ -84,16 +50,15 @@ impl DatasetSummary {
     /// Summary over an arbitrary row subset of a table (rows must share
     /// one interner; unique UA/ASN/URL counts are symbol-keyed).
     pub fn compute_rows_with_gap<'t>(
-        rows: impl IntoIterator<Item = &'t crate::table::RecordRow>,
+        rows: impl IntoIterator<Item = &'t RecordRow>,
         gap_secs: u64,
     ) -> DatasetSummary {
         assert!(gap_secs > 0, "session gap must be positive");
         let mut ips: HashSet<u64> = HashSet::new();
-        let mut uas: HashSet<crate::intern::Sym> = HashSet::new();
-        let mut asns: HashSet<crate::intern::Sym> = HashSet::new();
-        let mut urls: HashSet<(crate::intern::Sym, crate::intern::Sym)> = HashSet::new();
-        let mut by_entity: HashMap<(crate::intern::Sym, u64, crate::intern::Sym), Vec<u64>> =
-            HashMap::new();
+        let mut uas: HashSet<Sym> = HashSet::new();
+        let mut asns: HashSet<Sym> = HashSet::new();
+        let mut urls: HashSet<(Sym, Sym)> = HashSet::new();
+        let mut by_entity: HashMap<(Sym, u64, Sym), Vec<u64>> = HashMap::new();
         let mut total_bytes = 0u64;
         let mut raw_records = 0usize;
         for row in rows {
@@ -126,6 +91,7 @@ impl DatasetSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::AccessRecord;
     use crate::time::Timestamp;
 
     fn rec(ua: &str, ip: u64, asn: &str, t: u64, path: &str, bytes: u64) -> AccessRecord {
@@ -142,9 +108,14 @@ mod tests {
         }
     }
 
+    /// The summary of `records` with the given session gap.
+    fn summary(records: &[AccessRecord], gap_secs: u64) -> DatasetSummary {
+        DatasetSummary::compute_table_with_gap(&LogTable::from_records(records), gap_secs)
+    }
+
     #[test]
     fn empty_dataset() {
-        let s = DatasetSummary::compute(&[]);
+        let s = DatasetSummary::compute_table(&LogTable::new());
         assert_eq!(s.unique_ips, 0);
         assert_eq!(s.total_bytes, 0);
         assert_eq!(s.avg_bytes_per_session, 0.0);
@@ -158,7 +129,7 @@ mod tests {
             rec("a", 1, "GOOGLE", 60, "/y", 100),
             rec("b", 2, "OVH", 0, "/x", 300),
         ];
-        let s = DatasetSummary::compute(&records);
+        let s = DatasetSummary::compute_table(&LogTable::from_records(&records));
         assert_eq!(s.unique_ips, 2);
         assert_eq!(s.unique_user_agents, 2);
         assert_eq!(s.unique_asns, 2);
@@ -170,7 +141,7 @@ mod tests {
     }
 
     #[test]
-    fn table_summary_matches_record_summary() {
+    fn row_subset_summary_matches_its_own_table() {
         let records = vec![
             rec("a", 1, "GOOGLE", 0, "/x", 100),
             rec("a", 1, "GOOGLE", 60, "/y", 100),
@@ -178,12 +149,9 @@ mod tests {
             rec("b", 2, "OVH", 0, "/x", 300),
         ];
         let table = LogTable::from_records(&records);
-        assert_eq!(DatasetSummary::compute_table(&table), DatasetSummary::compute(&records));
-        assert_eq!(
-            DatasetSummary::compute_table_with_gap(&table, 20_000),
-            DatasetSummary::compute_with_gap(&records, 20_000)
-        );
-        assert_eq!(DatasetSummary::compute_table(&LogTable::new()), DatasetSummary::compute(&[]));
+        let a_rows = table.rows().iter().take(3);
+        assert_eq!(DatasetSummary::compute_rows_with_gap(a_rows, 300), summary(&records[..3], 300));
+        assert_eq!(summary(&records, 20_000).total_page_visits, 2);
     }
 
     #[test]
@@ -191,7 +159,7 @@ mod tests {
         // Two accesses 10 minutes apart: one session with a 15-minute gap,
         // two with the paper's 5-minute gap.
         let records = vec![rec("a", 1, "GOOGLE", 0, "/x", 1), rec("a", 1, "GOOGLE", 600, "/y", 1)];
-        assert_eq!(DatasetSummary::compute(&records).total_page_visits, 2);
-        assert_eq!(DatasetSummary::compute_with_gap(&records, 900).total_page_visits, 1);
+        assert_eq!(summary(&records, SESSION_GAP_SECS).total_page_visits, 2);
+        assert_eq!(summary(&records, 900).total_page_visits, 1);
     }
 }

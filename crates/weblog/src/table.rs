@@ -7,10 +7,12 @@
 //! one copy each. At paper volume this cuts the resident footprint of
 //! the generated dataset by roughly 6× versus `Vec<AccessRecord>`.
 //!
-//! The table is the native representation of the simnet generator and
-//! the core analysis pipeline; [`AccessRecord`] views are materialized
-//! on demand ([`LogTable::record`], [`LogTable::iter_records`]) so every
-//! existing record-slice API keeps working.
+//! The table is the one representation of log rows on every compute
+//! path: the simnet generator, the CSV/binary decoders and the core
+//! analysis pipeline all produce or consume it. [`AccessRecord`] is only
+//! the decode/display view: [`LogTable::push_record`] and
+//! [`LogTable::from_records`] intern one, and [`LogTable::materialize`]
+//! and [`LogTable::to_records`] resolve one on demand.
 
 use std::collections::BTreeMap;
 
@@ -166,19 +168,9 @@ impl LogTable {
         }
     }
 
-    /// Materialize the row at `index`.
-    pub fn record(&self, index: usize) -> AccessRecord {
-        self.materialize(&self.rows[index])
-    }
-
-    /// Iterate materialized [`AccessRecord`] views in row order.
-    pub fn iter_records(&self) -> impl Iterator<Item = AccessRecord> + '_ {
-        self.rows.iter().map(|row| self.materialize(row))
-    }
-
-    /// Materialize the whole table (the compatibility path).
+    /// Materialize every row, in row order (the display and test view).
     pub fn to_records(&self) -> Vec<AccessRecord> {
-        self.iter_records().collect()
+        self.rows.iter().map(|row| self.materialize(row)).collect()
     }
 
     /// Whether a row's path is exactly `/robots.txt`
@@ -271,10 +263,15 @@ impl LogTable {
         map.into_iter().map(|(ua, times)| (self.resolve(ua), times)).collect()
     }
 
-    /// Group rows into [`Session`]s with the given inactivity gap, the
-    /// row-native equivalent of [`crate::session::sessionize`]. Entities
-    /// are τ-tuples of interned symbols, so grouping is integer-keyed;
-    /// strings are resolved once per produced session.
+    /// Group rows into [`Session`]s with the given inactivity gap
+    /// (seconds).
+    ///
+    /// Rows are grouped by τ-tuple, sorted by time within each group,
+    /// and split whenever the inter-access gap is **at least**
+    /// `gap_secs`. Sessions are returned sorted by (start time, user
+    /// agent, IP hash, ASN). Entities are τ-tuples of interned symbols, so
+    /// grouping is integer-keyed; strings are resolved once per produced
+    /// session.
     pub fn sessionize(&self, gap_secs: u64) -> Vec<Session> {
         self.sessionize_rows(self.rows.iter(), gap_secs)
     }
@@ -325,8 +322,16 @@ impl LogTable {
                 sessions.push(self.finish_session(ua, ip, asn, done));
             }
         }
+        // The full τ key breaks every tie (an entity's sessions have
+        // distinct starts), so the order never depends on hash-map
+        // iteration order.
         sessions.sort_by(|a, b| {
-            (a.start, &a.useragent, a.ip_hash).cmp(&(b.start, &b.useragent, b.ip_hash))
+            (a.start, &a.useragent, a.ip_hash, &a.asn).cmp(&(
+                b.start,
+                &b.useragent,
+                b.ip_hash,
+                &b.asn,
+            ))
         });
         sessions
     }
@@ -372,8 +377,6 @@ impl LogTable {
     }
 
     /// Approximate heap footprint in bytes: rows plus interner strings.
-    /// The `Vec<AccessRecord>` equivalent is reported by
-    /// [`records_heap_bytes`]; genbench prints both.
     pub fn heap_bytes(&self) -> usize {
         self.rows.capacity() * std::mem::size_of::<RecordRow>() + self.interner.heap_bytes()
     }
@@ -397,26 +400,9 @@ pub(crate) fn count_entity_sessions(
     sessions
 }
 
-/// Approximate heap footprint of a materialized record set, for
-/// comparison against [`LogTable::heap_bytes`].
-pub fn records_heap_bytes(records: &[AccessRecord]) -> usize {
-    records
-        .iter()
-        .map(|r| {
-            std::mem::size_of::<AccessRecord>()
-                + r.useragent.capacity()
-                + r.asn.capacity()
-                + r.sitename.capacity()
-                + r.uri_path.capacity()
-                + r.referer.as_ref().map_or(0, std::string::String::capacity)
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::sessionize;
 
     fn rec(ua: &str, ip: u64, t: u64, path: &str) -> AccessRecord {
         AccessRecord {
@@ -444,7 +430,7 @@ mod tests {
         let table = LogTable::from_records(&records);
         assert_eq!(table.len(), 2);
         assert_eq!(table.to_records(), records);
-        assert_eq!(table.record(1), records[1]);
+        assert_eq!(table.materialize(&table.rows()[1]), records[1]);
         assert!(table.is_robots_fetch(&table.rows()[1]));
         assert!(!table.is_robots_fetch(&table.rows()[0]));
     }
@@ -454,7 +440,7 @@ mod tests {
         let mut r = rec("a", 1, 0, "/");
         r.referer = Some("https://ref.example/x".into());
         let table = LogTable::from_records(std::slice::from_ref(&r));
-        assert_eq!(table.record(0), r);
+        assert_eq!(table.to_records(), vec![r]);
     }
 
     #[test]
@@ -463,7 +449,10 @@ mod tests {
         let table = LogTable::from_records(&records);
         // ua, asn, sitename, path — one symbol each.
         assert_eq!(table.interner().len(), 4);
-        assert!(table.heap_bytes() < records_heap_bytes(&records));
+        // 100 owned records would hold 100 copies of each string.
+        let owned_strings: usize =
+            records.iter().map(|r| r.useragent.len() + r.asn.len() + r.sitename.len()).sum();
+        assert!(table.heap_bytes() < 100 * std::mem::size_of::<AccessRecord>() + owned_strings);
     }
 
     #[test]
@@ -504,15 +493,14 @@ mod tests {
     }
 
     #[test]
-    fn sessionize_matches_record_path() {
-        let records = vec![
-            rec("a", 1, 0, "/x"),
-            rec("a", 1, 100, "/y"),
-            rec("a", 1, 10_000, "/x"),
-            rec("b", 2, 0, "/x"),
-        ];
+    fn sessions_tied_on_start_agent_and_ip_order_by_asn() {
+        let records: Vec<AccessRecord> = ["AS3", "AS0", "AS2", "AS1"]
+            .iter()
+            .map(|asn| AccessRecord { asn: (*asn).into(), ..rec("a", 1, 0, "/x") })
+            .collect();
         let table = LogTable::from_records(&records);
-        assert_eq!(table.sessionize(300), sessionize(&records, 300));
+        let asns: Vec<String> = table.sessionize(300).into_iter().map(|s| s.asn).collect();
+        assert_eq!(asns, vec!["AS0", "AS1", "AS2", "AS3"]);
     }
 
     #[test]

@@ -1,16 +1,59 @@
 //! Property-based tests for the web-log substrate.
 
-use botscope_weblog::codec::{
-    decode, decode_stream, decode_table, decode_table_read, encode, HEADER,
-};
+use botscope_weblog::codec::{decode_table, decode_table_read, encode_table, DecodeError, HEADER};
 use botscope_weblog::colfmt;
 use botscope_weblog::record::AccessRecord;
-use botscope_weblog::session::sessionize;
+use botscope_weblog::session::Session;
 use botscope_weblog::sink::RowSink;
+use botscope_weblog::stream::{CsvRowStream, RowStream};
 use botscope_weblog::summary::DatasetSummary;
 use botscope_weblog::table::LogTable;
 use botscope_weblog::time::Timestamp;
 use proptest::prelude::*;
+
+/// `records` as a CSV document, written through a table.
+fn encode(records: &[AccessRecord]) -> String {
+    encode_table(&LogTable::from_records(records))
+}
+
+/// Sessions of `records` through the table path.
+fn sessionize(records: &[AccessRecord], gap_secs: u64) -> Vec<Session> {
+    LogTable::from_records(records).sessionize(gap_secs)
+}
+
+/// Resolve one interned row against `stream`'s dictionary.
+fn resolve_row(stream: &dyn RowStream, row: &botscope_weblog::RecordRow) -> AccessRecord {
+    let i = stream.interner();
+    AccessRecord {
+        useragent: i.resolve(row.useragent).to_string(),
+        timestamp: row.timestamp,
+        ip_hash: row.ip_hash,
+        asn: i.resolve(row.asn).to_string(),
+        sitename: i.resolve(row.sitename).to_string(),
+        uri_path: i.resolve(row.uri_path).to_string(),
+        status: row.status,
+        bytes: row.bytes,
+        referer: row.referer.map(|s| i.resolve(s).to_string()),
+    }
+}
+
+/// `text` decoded row by row through a [`CsvRowStream`]: the records up
+/// to the first error, and that error (a bad header fails the stream's
+/// constructor).
+fn drain_csv(text: &str) -> (Vec<AccessRecord>, Option<DecodeError>) {
+    let mut stream = match CsvRowStream::new(text.as_bytes()) {
+        Ok(stream) => stream,
+        Err(e) => return (Vec::new(), Some(e)),
+    };
+    let mut records = Vec::new();
+    while let Some(item) = stream.next_row() {
+        match item {
+            Ok(row) => records.push(resolve_row(&stream, &row)),
+            Err(e) => return (records, Some(e)),
+        }
+    }
+    (records, None)
+}
 
 /// `records` as a table whose dictionary is in sorted string order (the
 /// k-way merge's dictionary shape), so its ids generally differ from
@@ -40,38 +83,18 @@ fn sink_bytes(table: &LogTable, page_rows: usize) -> Vec<u8> {
     sink.into_inner()
 }
 
-/// `decode_stream` (and the table decoders) must agree with `decode` on
-/// any input: same records on success, same first error on failure.
-/// Panics on disagreement (the proptest macro reports the inputs).
+/// The table decoder and a drained [`CsvRowStream`] must agree on any
+/// input: same records on success, same first error (line and message)
+/// on failure. Panics on disagreement (the proptest macro reports the
+/// inputs).
 fn check_stream_equivalence(text: &str) {
-    let full = decode(text);
-    let mut streamed: Vec<AccessRecord> = Vec::new();
-    let mut stream_err = None;
-    for item in decode_stream(text) {
-        match item {
-            Ok(r) => streamed.push(r),
-            Err(e) => {
-                stream_err = Some(e);
-                break;
-            }
-        }
-    }
-    let table = decode_table(text);
-    let table_read = decode_table_read(text.as_bytes());
-    match full {
-        Ok(records) => {
+    let (streamed, stream_err) = drain_csv(text);
+    match decode_table_read(text.as_bytes()) {
+        Ok(table) => {
             assert_eq!(stream_err, None);
-            assert_eq!(streamed, records);
-            assert_eq!(table.expect("decode succeeded").to_records(), records);
-            assert_eq!(table_read.expect("decode succeeded").to_records(), records);
+            assert_eq!(table.to_records(), streamed);
         }
-        Err(e) => {
-            assert_eq!(stream_err.as_ref(), Some(&e));
-            assert_eq!(table.expect_err("decode failed"), e.clone());
-            // The reader path trims a trailing '\r' that str::lines also
-            // strips, so its errors match the in-memory path as well.
-            assert_eq!(table_read.expect_err("decode failed"), e);
-        }
+        Err(e) => assert_eq!(stream_err, Some(e)),
     }
 }
 
@@ -112,8 +135,9 @@ proptest! {
         // format unquoted; our strategy avoids them, quoting handles the
         // rest (commas, quotes).
         let text = encode(&records);
-        let back = decode(&text).expect("decode what we encoded");
-        prop_assert_eq!(back, records);
+        let back = decode_table(&text).expect("decode what we encoded");
+        prop_assert_eq!(back.to_records(), records);
+        prop_assert_eq!(encode_table(&back), text);
     }
 
     #[test]
@@ -121,11 +145,10 @@ proptest! {
         records in prop::collection::vec(record_strategy(), 0..30),
     ) {
         let text = encode(&records);
-        let streamed: Result<Vec<AccessRecord>, _> = decode_stream(&text).collect();
-        prop_assert_eq!(streamed.expect("own encoding decodes"), records.clone());
+        let (streamed, err) = drain_csv(&text);
+        prop_assert_eq!(err, None);
+        prop_assert_eq!(streamed, records.clone());
         // The interned table path agrees too.
-        let table = decode_table(&text).expect("own encoding decodes");
-        prop_assert_eq!(table.to_records(), records.clone());
         let table = decode_table_read(text.as_bytes()).expect("own encoding decodes");
         prop_assert_eq!(table.to_records(), records);
     }
@@ -151,8 +174,8 @@ proptest! {
         pos in 0usize..100_000,
         byte in 0x20u8..0x7F,
     ) {
-        // Flip one byte of a valid log: decode and decode_stream must
-        // still agree on the outcome, whatever it is.
+        // Flip one byte of a valid log: the table decoder and the row
+        // stream must still agree on the outcome, whatever it is.
         let mut text = encode(&records).into_bytes();
         let at = pos % text.len();
         text[at] = byte;
@@ -162,19 +185,20 @@ proptest! {
     }
 
     #[test]
-    fn table_agrees_with_record_apis(
+    fn table_summary_agrees_with_sessions(
         records in prop::collection::vec(record_strategy(), 0..50),
         gap in 1u64..50_000,
     ) {
-        // The interned representation is behaviourally identical to the
-        // record one: roundtrip, sessionization, and summary all agree.
+        // The table round-trips its records, and the Table 2 summary
+        // counts exactly the sessions sessionization produces.
         let table = LogTable::from_records(&records);
         prop_assert_eq!(table.to_records(), records.clone());
-        prop_assert_eq!(table.sessionize(gap), sessionize(&records, gap));
-        prop_assert_eq!(
-            DatasetSummary::compute_table_with_gap(&table, gap),
-            DatasetSummary::compute_with_gap(&records, gap)
-        );
+        let sessions = table.sessionize(gap);
+        let summary = DatasetSummary::compute_table_with_gap(&table, gap);
+        prop_assert_eq!(summary.total_page_visits, sessions.len());
+        prop_assert_eq!(table.count_sessions(table.rows(), gap), sessions.len());
+        prop_assert_eq!(summary.total_bytes, sessions.iter().map(|s| s.bytes).sum::<u64>());
+        prop_assert_eq!(summary.raw_records, records.len());
     }
 
     #[test]
@@ -285,23 +309,11 @@ proptest! {
         // record (interner remapping included: the reader builds its
         // own dictionary, so symbol ids need not match the writer's).
         let csv = encode(&records);
-        let from_csv = decode(&csv).expect("decode own CSV");
+        let from_csv = decode_table(&csv).expect("decode own CSV").to_records();
         let mut reader = colfmt::BinReader::new(&bin[..]).expect("binary header");
         let mut from_bin = Vec::new();
         while let Some(row) = reader.next_row() {
-            let row = row.expect("clean row");
-            let i = reader.interner();
-            from_bin.push(AccessRecord {
-                useragent: i.resolve(row.useragent).to_string(),
-                timestamp: row.timestamp,
-                ip_hash: row.ip_hash,
-                asn: i.resolve(row.asn).to_string(),
-                sitename: i.resolve(row.sitename).to_string(),
-                uri_path: i.resolve(row.uri_path).to_string(),
-                status: row.status,
-                bytes: row.bytes,
-                referer: row.referer.map(|s| i.resolve(s).to_string()),
-            });
+            from_bin.push(resolve_row(&reader, &row.expect("clean row")));
         }
         prop_assert_eq!(from_bin, from_csv);
     }
@@ -386,17 +398,17 @@ proptest! {
         let mut lines: Vec<String> = encode(&records).lines().map(String::from).collect();
         lines.insert(1 + at, "not,a,record".into());
         let text = lines.join("\n");
-        let err = decode(&text).expect_err("malformed line must fail");
+        let err = decode_table_read(text.as_bytes()).expect_err("malformed line must fail");
         prop_assert_eq!(err.line, 1 + at + 1, "header is line 1, body starts at 2");
-        let err_read = decode_table_read(text.as_bytes()).expect_err("reader path too");
-        prop_assert_eq!(err_read.line, err.line);
+        let (_, stream_err) = drain_csv(&text);
+        prop_assert_eq!(stream_err.expect("row stream too").line, err.line);
     }
 
     #[test]
     fn summary_counts_bounded_by_records(
         records in prop::collection::vec(record_strategy(), 0..50),
     ) {
-        let s = DatasetSummary::compute(&records);
+        let s = DatasetSummary::compute_table(&LogTable::from_records(&records));
         prop_assert!(s.unique_ips <= records.len());
         prop_assert!(s.unique_user_agents <= records.len());
         prop_assert!(s.unique_asns <= records.len());

@@ -3,30 +3,32 @@
 //! a crawl delay, and flag likely user-agent spoofing.
 //!
 //! The example generates a week of synthetic logs (stand-in for the
-//! operator's real CSV export; swap in `botscope::weblog::codec::decode`
-//! to load your own), then runs the audit.
+//! operator's real CSV export; swap in
+//! `botscope::weblog::codec::decode_table_read` to load your own), then
+//! runs the audit.
 //!
 //! Run with: `cargo run --example compliance_audit`
 
-use botscope::core::metrics::{crawl_delay_counts, CRAWL_DELAY_SECS};
-use botscope::core::pipeline::standardize;
-use botscope::core::spoofdetect::detect;
+use botscope::core::metrics::{crawl_delay_counts_rows, CRAWL_DELAY_SECS};
+use botscope::core::pipeline::standardize_table;
+use botscope::core::spoofdetect::detect_rows;
 use botscope::simnet::{scenario, SimConfig};
 use botscope::weblog::codec;
 
 fn main() {
-    // Stand-in for: let records = codec::decode(&std::fs::read_to_string("access.csv")?)?;
+    // Stand-in for:
+    // let table = codec::decode_table_read(BufReader::new(File::open("access.csv")?))?;
     let cfg = SimConfig { days: 7, scale: 0.05, sites: 8, ..SimConfig::default() };
-    let records = scenario::full_study(&cfg).records;
-    println!("Loaded {} access records", records.len());
+    let table = scenario::full_study_table(&cfg).table;
+    println!("Loaded {} access records", table.len());
 
     // Round-trip through the CSV codec to show the persistence path.
-    let csv = codec::encode(&records[..100.min(records.len())]);
-    let reloaded = codec::decode(&csv).expect("codec roundtrip");
+    let csv = codec::encode_table(&table);
+    let reloaded = codec::decode_table(&csv).expect("codec roundtrip");
     println!("CSV codec roundtrip: {} records re-read\n", reloaded.len());
 
     // 1. Standardize user agents against the known-bot corpus.
-    let logs = standardize(&records);
+    let logs = standardize_table(&table);
     println!(
         "Known bots: {} ({} records); anonymous agents: {} records\n",
         logs.bots.len(),
@@ -41,10 +43,10 @@ fn main() {
     let mut rows: Vec<(String, usize, f64)> = logs
         .bots
         .values()
-        .filter(|v| v.records.len() >= 20)
+        .filter(|v| v.rows.len() >= 20)
         .map(|v| {
-            let counts = crawl_delay_counts(&v.records, CRAWL_DELAY_SECS);
-            (v.name.clone(), v.records.len(), counts.ratio().unwrap_or(0.0))
+            let counts = crawl_delay_counts_rows(&v.rows, CRAWL_DELAY_SECS);
+            (v.name.clone(), v.rows.len(), counts.ratio().unwrap_or(0.0))
         })
         .collect();
     rows.sort_by_key(|r| std::cmp::Reverse(r.1));
@@ -54,7 +56,7 @@ fn main() {
 
     // 3. Spoofing scan: bots whose traffic is ≥90% one network but shows
     //    residual requests from elsewhere.
-    let spoof = detect(&logs.per_bot_records());
+    let spoof = detect_rows(&table, &logs.per_bot_rows());
     println!("\nPossible spoofing ({} bots flagged):", spoof.findings.len());
     for f in &spoof.findings {
         let asns: Vec<&str> = f.suspicious.iter().map(|(n, _)| n.as_str()).collect();

@@ -8,25 +8,25 @@
 use std::collections::BTreeSet;
 
 use botscope::asn::catalog::SPOOF_CATALOG;
-use botscope::core::pipeline::standardize;
-use botscope::core::spoofdetect::{detect_with, DOMINANCE_THRESHOLD};
+use botscope::core::pipeline::standardize_table;
+use botscope::core::spoofdetect::{detect_rows_with, DOMINANCE_THRESHOLD};
 use botscope::simnet::{scenario, SimConfig};
 
 fn main() {
     let cfg = SimConfig { scale: 0.2, ..SimConfig::default() };
     println!("Generating 46 days of traffic across {} sites (seed {})...", cfg.sites, cfg.seed);
-    let out = scenario::full_study(&cfg);
+    let out = scenario::full_study_table(&cfg);
     println!(
         "{} records; {} bots have planted spoof traffic\n",
-        out.records.len(),
+        out.table.len(),
         out.truth.spoofed_requests.len()
     );
 
-    let logs = standardize(&out.records);
-    let per_bot = logs.per_bot_records();
+    let logs = standardize_table(&out.table);
+    let per_bot = logs.per_bot_rows();
 
     // Run the paper's heuristic.
-    let report = detect_with(&per_bot, DOMINANCE_THRESHOLD, 10);
+    let report = detect_rows_with(&out.table, &per_bot, DOMINANCE_THRESHOLD, 10);
     println!("{:<26} {:>7} {:>9}  suspicious ASNs", "flagged bot", "share", "spoofed");
     println!("{}", "-".repeat(70));
     for f in &report.findings {
@@ -57,7 +57,7 @@ fn main() {
     // The §5.2 limitation: the threshold is arbitrary. Sweep it.
     println!("\nThreshold sweep (paper uses 0.90):");
     for threshold in [0.5, 0.75, 0.9, 0.99] {
-        let n = detect_with(&per_bot, threshold, 10).findings.len();
+        let n = detect_rows_with(&out.table, &per_bot, threshold, 10).findings.len();
         println!("  dominance >= {threshold:<4} -> {n} flagged bots");
     }
 

@@ -7,7 +7,7 @@ use std::sync::OnceLock;
 
 use botscope::core::analyze::{Directive, Experiment};
 use botscope::core::report::FullStudyReport;
-use botscope::simnet::scenario::full_study;
+use botscope::simnet::scenario::full_study_table;
 use botscope::simnet::SimConfig;
 use botscope::useragent::BotCategory;
 
@@ -23,7 +23,7 @@ fn full_report() -> &'static FullStudyReport {
     static REP: OnceLock<FullStudyReport> = OnceLock::new();
     REP.get_or_init(|| {
         let cfg = SimConfig { scale: 0.1, ..SimConfig::default() };
-        FullStudyReport::new(&full_study(&cfg).records)
+        FullStudyReport::from_table(&full_study_table(&cfg).table)
     })
 }
 

@@ -1,5 +1,6 @@
-//! Golden digests of the streamed write paths, the estate replay and
-//! the admission verdicts.
+//! Golden digests of the streamed write paths, the estate replay, the
+//! admission verdicts, the coupled study's reports and the default
+//! monitor report.
 //!
 //! The other CLI tests compare output paths with each other (streamed
 //! vs materialized, one worker count vs another). These pin the bytes
@@ -164,4 +165,36 @@ fn admit_verdicts_match_golden_digest() {
         );
     }
     let _ = std::fs::remove_file(&file);
+}
+
+#[test]
+fn coupled_study_reports_match_golden_digests() {
+    // Scale 0.25, not the paper's 1.0: in the debug test binary one
+    // coupled run takes about 3.6 s at 0.25 and 11.8 s at 1.0, and this
+    // test makes four. The believed basis drops 1,295 excused rows here.
+    for (basis, digest) in [
+        ("served", "cf64ca1af1d77e4c5b9a42e139e622f09bbcf806599a7b1666795ce15527d314"),
+        ("believed", "46958b82600b990c13f928fb31f8334551de99bd79a0eb00ee623c1417dbbdb7"),
+    ] {
+        let args = ["simulate", "--coupled", "--scale", "0.25", "--basis", basis];
+        for threads in THREADS {
+            let stdout = stdout_of(&args, threads);
+            if basis == "believed" {
+                let text = String::from_utf8_lossy(&stdout);
+                assert!(text.contains("1295 excused rows dropped"), "BOTSCOPE_THREADS={threads}");
+            }
+            assert_eq!(sha256_hex(&stdout), digest, "--basis {basis}, BOTSCOPE_THREADS={threads}");
+        }
+    }
+}
+
+#[test]
+fn default_monitor_report_matches_golden_digest() {
+    for threads in THREADS {
+        assert_eq!(
+            sha256_hex(&stdout_of(&["monitor"], threads)),
+            "b477d54eb423f1bbe3aeacb9f325b9cae735c70e6478ed81702581ceebaeb08d",
+            "BOTSCOPE_THREADS={threads}"
+        );
+    }
 }
